@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/fixed"
 	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/spatial"
@@ -28,9 +29,10 @@ func BenchmarkServerConcurrentStreams(b *testing.B) {
 	if err := d.Decompose(catalog); err != nil {
 		b.Fatal(err)
 	}
-	srv := server.New(engine.New(catalog, engine.Options{
+	eng := engine.New(catalog, engine.Options{
 		Sched: engine.SchedConfig{CPUWorkers: 16, GPUStreams: 2, ARQueue: 1 << 20},
-	}))
+	})
+	srv := server.New(eng)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -46,7 +48,7 @@ func BenchmarkServerConcurrentStreams(b *testing.B) {
 	}
 	close(work)
 
-	var failures atomic.Int64
+	var failures, empty atomic.Int64
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -68,11 +70,18 @@ func BenchmarkServerConcurrentStreams(b *testing.B) {
 				return
 			}
 			for j := range work {
-				q := fmt.Sprintf("select count(lon) from trips where lon between %d and %d",
-					2_00000+int64(j%8)*10_000, 2_60000)
-				if _, err := cl.Query(q); err != nil {
+				// The Table I box in degree literals (the columns are
+				// decimal(8,5)), its western edge widened by up to 0.007°.
+				q := fmt.Sprintf("select count(lon) from trips where lon between %s and %s and lat between %s and %s",
+					fixed.Format(spatial.QueryLonLo-int64(j%8)*100, fixed.Scale5), fixed.Format(spatial.QueryLonHi, fixed.Scale5),
+					fixed.Format(spatial.QueryLatLo, fixed.Scale5), fixed.Format(spatial.QueryLatHi, fixed.Scale5))
+				got, err := cl.Query(q)
+				if err != nil {
 					failures.Add(1)
 					return
+				}
+				if len(got) == 0 || got[0] == "[0]" {
+					empty.Add(1)
 				}
 			}
 		}(mode)
@@ -82,9 +91,12 @@ func BenchmarkServerConcurrentStreams(b *testing.B) {
 	if n := failures.Load(); n > 0 {
 		b.Fatalf("%d client streams failed", n)
 	}
+	if n := empty.Load(); n > 0 {
+		b.Fatalf("%d box counts came back zero: the query misses the generated fixes", n)
+	}
 
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-	gpu, cpu, pci, queries := srv.Engine().Totals().Totals()
+	gpu, cpu, pci, queries := eng.Scheduler().Totals.Totals()
 	if queries > clients { // skip the warm-up-sized runs
 		simTotal := (gpu + cpu + pci).Seconds()
 		if simTotal > 0 {

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/ar"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/par"
 	"repro/internal/plan"
 	"repro/internal/spatial"
 	"repro/internal/tpch"
@@ -103,7 +105,7 @@ func BenchmarkOpSelectRefine(b *testing.B) {
 	b.SetBytes(int64(cands.Len()) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ar.SelectRefine(nil, 1, col, 0, benchN/10, cands)
+		ar.SelectRefine(par.Bill(1), nil, col, 0, benchN/10, cands)
 	}
 }
 
@@ -112,7 +114,7 @@ func BenchmarkOpSelectClassic(b *testing.B) {
 	b.SetBytes(raw.TailBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bulk.SelectRange(nil, 1, raw, 0, benchN/10)
+		bulk.SelectRange(par.Bill(1), nil, raw, 0, benchN/10)
 	}
 }
 
@@ -120,12 +122,12 @@ func BenchmarkOpProjectApproxRefine(b *testing.B) {
 	selCol, _ := benchColumn(12)
 	prjCol, _ := benchColumn(12)
 	cands := ar.SelectApprox(nil, selCol, selCol.Relax(0, benchN/10))
-	refined, _ := ar.SelectRefine(nil, 1, selCol, 0, benchN/10, cands)
+	refined, _ := ar.SelectRefine(par.Bill(1), nil, selCol, 0, benchN/10, cands)
 	b.SetBytes(int64(refined.Len()) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		proj := ar.ProjectApprox(nil, prjCol, cands)
-		if _, err := ar.ProjectRefine(nil, 1, proj, refined); err != nil {
+		if _, err := ar.ProjectRefine(par.Bill(1), nil, proj, refined); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +154,7 @@ func BenchmarkOpGroupApprox(b *testing.B) {
 func BenchmarkOpTranslucentJoin(b *testing.B) {
 	col, _ := benchColumn(12)
 	cands := ar.SelectApprox(nil, col, col.Relax(0, benchN/2))
-	refined, _ := ar.SelectRefine(nil, 1, col, 0, benchN/4, cands)
+	refined, _ := ar.SelectRefine(par.Bill(1), nil, col, 0, benchN/4, cands)
 	b.SetBytes(int64(cands.Len()) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -174,7 +176,7 @@ func BenchmarkAblationResolution(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cands := ar.SelectApprox(nil, col, r)
-				ar.SelectRefine(nil, 1, col, 0, benchN/20, cands)
+				ar.SelectRefine(par.Bill(1), nil, col, 0, benchN/20, cands)
 			}
 		})
 	}
@@ -185,7 +187,7 @@ func BenchmarkAblationResolution(b *testing.B) {
 func BenchmarkAblationTranslucentVsHash(b *testing.B) {
 	col, _ := benchColumn(12)
 	cands := ar.SelectApprox(nil, col, col.Relax(0, benchN/2))
-	refined, _ := ar.SelectRefine(nil, 1, col, 0, benchN/4, cands)
+	refined, _ := ar.SelectRefine(par.Bill(1), nil, col, 0, benchN/4, cands)
 	aVals := make([]int64, len(cands.IDs))
 	for i, id := range cands.IDs {
 		aVals[i] = int64(id)
@@ -203,9 +205,76 @@ func BenchmarkAblationTranslucentVsHash(b *testing.B) {
 	})
 	b.Run("hash", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			bulk.HashJoin(nil, 1, aVals, bVals)
+			hashJoin(aVals, bVals)
 		}
 	})
+}
+
+// hashJoin is the generic equi-join baseline of the translucent-join
+// ablation: it returns the matching position pairs (left[i] joins
+// right[i]), building on the smaller input and probing with the larger.
+// The paper notes (§IV-D) that generic hash joins are hard to approximate
+// on massively parallel hardware; the engine never runs one.
+func hashJoin(left, right []int64) (lids, rids []bat.OID) {
+	build, probe := left, right
+	swapped := false
+	if len(right) < len(left) {
+		build, probe = right, left
+		swapped = true
+	}
+	idx := make(map[int64][]bat.OID, len(build))
+	for i, v := range build {
+		idx[v] = append(idx[v], bat.OID(i))
+	}
+	var bids, pids []bat.OID
+	for i, v := range probe {
+		for _, b := range idx[v] {
+			bids = append(bids, b)
+			pids = append(pids, bat.OID(i))
+		}
+	}
+	if swapped {
+		return pids, bids
+	}
+	return bids, pids
+}
+
+func TestHashJoinMatchesNestedLoop(t *testing.T) {
+	f := func(rawL, rawR []uint8) bool {
+		left := make([]int64, len(rawL))
+		for i, v := range rawL {
+			left[i] = int64(v % 16)
+		}
+		right := make([]int64, len(rawR))
+		for i, v := range rawR {
+			right[i] = int64(v % 16)
+		}
+		lids, rids := hashJoin(left, right)
+		if len(lids) != len(rids) {
+			return false
+		}
+		// Count matches both ways.
+		want := 0
+		for _, l := range left {
+			for _, r := range right {
+				if l == r {
+					want++
+				}
+			}
+		}
+		if len(lids) != want {
+			return false
+		}
+		for i := range lids {
+			if left[lids[i]] != right[rids[i]] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
 }
 
 // Ablation: rule-based filter push-down (§III-A) on a two-filter query

@@ -15,6 +15,7 @@ import (
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
+	"repro/internal/par"
 )
 
 func main() {
@@ -54,14 +55,14 @@ func main() {
 
 	// Ship once across the bus, refine on the CPU.
 	cands.Ship(m)
-	refined, exactVals := ar.SelectRefine(m, 1, col, lo, hi, cands)
+	refined, exactVals := ar.SelectRefine(par.Bill(1), m, col, lo, hi, cands)
 	fmt.Printf("refined result:    %d tuples (%d false positives eliminated)\n",
 		refined.Len(), cands.Len()-refined.Len())
 	fmt.Printf("simulated cost:    %v\n", m)
 
 	// Cross-check against the classic bulk engine.
 	mClassic := device.NewMeter(sys)
-	want := bulk.SelectRange(mClassic, 1, column, lo, hi)
+	want := bulk.SelectRange(par.Bill(1), mClassic, column, lo, hi)
 	if len(want) != refined.Len() {
 		log.Fatalf("MISMATCH: classic found %d, A&R found %d", len(want), refined.Len())
 	}

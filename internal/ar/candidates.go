@@ -98,10 +98,6 @@ func (c *Candidates) Release() {
 // Len returns the number of candidate tuples.
 func (c *Candidates) Len() int { return len(c.IDs) }
 
-// Shipped reports whether the candidate set has been transferred to the
-// host.
-func (c *Candidates) Shipped() bool { return c.shipped }
-
 // CodesFor returns the approximation codes of col aligned with the
 // candidate IDs, or nil if col was never attached.
 func (c *Candidates) CodesFor(col *bwd.Column) []uint64 {

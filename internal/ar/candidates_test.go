@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/device"
+	"repro/internal/par"
 )
 
 func TestCodesForUnknownColumn(t *testing.T) {
@@ -101,7 +102,7 @@ func TestEmptyCandidatesFlow(t *testing.T) {
 	if proj.Len() != 0 {
 		t.Error("projection over empty candidates not empty")
 	}
-	refined, vals2 := SelectRefine(nil, 1, col, 100000, 200000, cands)
+	refined, vals2 := SelectRefine(par.Bill(1), nil, col, 100000, 200000, cands)
 	if refined.Len() != 0 || len(vals2) != 0 {
 		t.Error("refinement of empty candidates not empty")
 	}
@@ -119,15 +120,15 @@ func TestShippedFlagPropagation(t *testing.T) {
 	vals := shuffledInts(1000, 97)
 	col := decompose(t, vals, 8)
 	cands := SelectApprox(nil, col, col.Relax(0, 500))
-	if cands.Shipped() {
+	if cands.shipped {
 		t.Error("fresh candidates marked shipped")
 	}
 	cands.Ship(nil)
-	if !cands.Shipped() {
+	if !cands.shipped {
 		t.Error("Ship did not mark candidates")
 	}
-	refined, _ := SelectRefine(nil, 1, col, 0, 500, cands)
-	if !refined.Shipped() {
+	refined, _ := SelectRefine(par.Bill(1), nil, col, 0, 500, cands)
+	if !refined.shipped {
 		t.Error("refinement output lives on the host; must stay marked shipped")
 	}
 	_ = bat.OID(0)

@@ -51,14 +51,11 @@ func SelectApproxAt(m *device.Meter, col *bwd.Column, r bwd.ApproxRange, in *Can
 // host-resident dimension residuals at the joined positions, the precise
 // predicate is re-evaluated, and false positives are dropped from the
 // candidate set and the position list alike.
-func SelectRefineAt(m *device.Meter, threads int, col *bwd.Column, lo, hi int64, in *Candidates, at []bat.OID) (*Candidates, []bat.OID, []int64) {
-	return SelectRefineAtPar(par.Bill(threads), m, col, lo, hi, in, at)
-}
-
-// SelectRefineAtPar is the morsel-parallel SelectRefineAt: survivors
-// concatenate in morsel order, keeping candidate order and the position
-// list aligned exactly as the serial loop does.
-func SelectRefineAtPar(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *Candidates, at []bat.OID) (*Candidates, []bat.OID, []int64) {
+//
+// Morsel-parallel execution: survivors concatenate in morsel order, keeping
+// candidate order and the position list aligned exactly as the serial loop
+// does.
+func SelectRefineAt(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *Candidates, at []bat.OID) (*Candidates, []bat.OID, []int64) {
 	codes := in.CodesFor(col)
 	if codes == nil {
 		panic("ar: SelectRefineAt on a dimension column without attached codes")
@@ -112,13 +109,8 @@ func SelectRefineAtPar(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, 
 // the residual lookups address the dimension column through the refined
 // position list `atRefined` (aligned with refined) instead of the
 // candidate IDs.
-func ProjectRefineAt(m *device.Meter, threads int, p *Projection, refined *Candidates, atRefined []bat.OID) ([]int64, error) {
-	return ProjectRefineAtPar(par.Bill(threads), m, p, refined, atRefined)
-}
-
-// ProjectRefineAtPar is the morsel-parallel ProjectRefineAt.
-func ProjectRefineAtPar(pp par.P, m *device.Meter, p *Projection, refined *Candidates, atRefined []bat.OID) ([]int64, error) {
-	pos, err := TranslucentJoinMetered(m, pp.NThreads(), p.Src.IDs, refined.IDs)
+func ProjectRefineAt(pp par.P, m *device.Meter, p *Projection, refined *Candidates, atRefined []bat.OID) ([]int64, error) {
+	pos, err := TranslucentJoinMetered(pp, m, p.Src.IDs, refined.IDs)
 	if err != nil {
 		return nil, err
 	}

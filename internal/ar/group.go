@@ -92,17 +92,14 @@ func (g *Grouping) Ship(m *device.Meter) {
 // Otherwise the CPU regroups on reconstructed exact values — the paper's
 // observation that MonetDB's positional grouping representation cannot
 // profit from a physical pre-grouping.
-func GroupRefine(m *device.Meter, threads int, g *Grouping, refined *Candidates) (*bulk.Grouping, error) {
-	return GroupRefinePar(par.Bill(threads), m, g, refined)
-}
-
-// GroupRefinePar is the morsel-parallel GroupRefine: the exact-pre-grouping
-// path densifies surviving group IDs with block-partial first-appearance
-// remapping (identical order to the serial pass), and the decomposed path
-// reconstructs keys per-morsel before regrouping with the parallel GroupBy.
-func GroupRefinePar(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*bulk.Grouping, error) {
+//
+// Morsel-parallel execution: the exact-pre-grouping path densifies surviving
+// group IDs with block-partial first-appearance remapping (identical order
+// to the serial pass), and the decomposed path reconstructs keys per-morsel
+// before regrouping with the parallel GroupBy.
+func GroupRefine(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*bulk.Grouping, error) {
 	if g.Col.Dec.ResBits == 0 {
-		pos, err := TranslucentJoinMetered(m, p.NThreads(), g.Src.IDs, refined.IDs)
+		pos, err := TranslucentJoinMetered(p, m, g.Src.IDs, refined.IDs)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +124,7 @@ func GroupRefinePar(p par.P, m *device.Meter, g *Grouping, refined *Candidates) 
 	// Decomposed grouping column: re-derive each surviving tuple's exact
 	// key from the pre-grouping's code (translucent join back into the
 	// candidate alignment) and the host-resident residual, then regroup.
-	pos, err := TranslucentJoinMetered(m, p.NThreads(), g.Src.IDs, refined.IDs)
+	pos, err := TranslucentJoinMetered(p, m, g.Src.IDs, refined.IDs)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +143,7 @@ func GroupRefinePar(p par.P, m *device.Meter, g *Grouping, refined *Candidates) 
 		m.CPUWork(p.NThreads(), int64(len(pos))*12,
 			int64(len(pos))*residualBytes(g.Col.Dec.ResBits), int64(len(pos)))
 	}
-	return bulk.GroupByPar(p, m, vals), nil
+	return bulk.GroupBy(p, m, vals), nil
 }
 
 // remapFirstAppearance densifies a stream of old group IDs (dense in

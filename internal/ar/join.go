@@ -7,7 +7,6 @@ import (
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
-	"repro/internal/mem"
 )
 
 // FKPositionsApprox computes, on the device, the dimension-table positions
@@ -43,79 +42,4 @@ func FKPositionsApprox(m *device.Meter, fkCol *bwd.Column, cands *Candidates, pk
 		m.GPUKernel(seq, packedBytes(n, fkCol.Dec.ApproxBits), int64(n)*bulk.OpsHashProbe)
 	}
 	return out, nil
-}
-
-// FKPositionsRefine recomputes the joined dimension positions on the CPU
-// for a refined candidate subset, using the host-side foreign-key index.
-// It is the CPU fallback for decomposed key columns and the refinement
-// counterpart of FKPositionsApprox.
-func FKPositionsRefine(m *device.Meter, threads int, fkCol *bwd.Column, refined *Candidates, ix *bulk.FKIndex) ([]bat.OID, error) {
-	vals := ReconstructAll(m, threads, fkCol, refined)
-	out := oidPool.GetN(len(vals))
-	for i, fk := range vals {
-		pos, ok := ix.Lookup(fk)
-		if !ok {
-			mem.I64.Put(vals)
-			return nil, fmt.Errorf("ar: dangling foreign key %d", fk)
-		}
-		out[i] = pos
-	}
-	mem.I64.Put(vals)
-	if m != nil {
-		m.CPUWork(threads, int64(len(vals))*8, int64(len(vals))*4,
-			int64(len(vals))*bulk.OpsHashProbe)
-	}
-	return out, nil
-}
-
-// ThetaJoinApprox is the approximate side of a non-equi (theta) join,
-// which §IV-D singles out as a natural device workload: a nested-loop scan
-// that is bandwidth-hungry and trivially parallel because it needs no
-// shared build structure. It returns all candidate pairs (li, ri) whose
-// approximation intervals could satisfy `left.value < right.value` — a
-// superset of the exact result.
-//
-// The candidate pairs must be refined with ThetaJoinRefine; the paper
-// notes only one side can keep its permutation through a translucent join,
-// so the refinement re-verifies pairs directly.
-func ThetaJoinApprox(m *device.Meter, left, right *bwd.Column) (lids, rids []bat.OID) {
-	for i := 0; i < left.Len(); i++ {
-		lLow := left.Dec.Base + int64(left.Approx.Get(i)<<left.Dec.ResBits)
-		for j := 0; j < right.Len(); j++ {
-			rLow := right.Dec.Base + int64(right.Approx.Get(j)<<right.Dec.ResBits)
-			rHi := rLow + right.Dec.Err()
-			// left < right is possible iff min(left interval) < max(right
-			// interval).
-			if lLow < rHi {
-				lids = append(lids, bat.OID(i))
-				rids = append(rids, bat.OID(j))
-			}
-		}
-	}
-	if m != nil {
-		n := int64(left.Len()) * int64(right.Len())
-		m.GPUKernel(packedBytes(left.Len(), left.Dec.ApproxBits)+
-			packedBytes(right.Len(), right.Dec.ApproxBits)*int64(left.Len()),
-			0, n)
-	}
-	return lids, rids
-}
-
-// ThetaJoinRefine eliminates false-positive pairs by reconstructing both
-// sides' exact values on the CPU and re-evaluating `left < right`.
-func ThetaJoinRefine(m *device.Meter, threads int, left, right *bwd.Column, lids, rids []bat.OID) (outL, outR []bat.OID) {
-	for k := range lids {
-		lv := left.Reconstruct(int(lids[k]))
-		rv := right.Reconstruct(int(rids[k]))
-		if lv < rv {
-			outL = append(outL, lids[k])
-			outR = append(outR, rids[k])
-		}
-	}
-	if m != nil {
-		n := int64(len(lids))
-		m.CPUWork(threads, n*8,
-			n*(residualBytes(left.Dec.ResBits)+residualBytes(right.Dec.ResBits)), n*2)
-	}
-	return outL, outR
 }

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bat"
-	"repro/internal/bulk"
-	"repro/internal/device"
 )
 
 func TestFKPositionsApproxDensePK(t *testing.T) {
@@ -50,103 +48,5 @@ func TestFKPositionsApproxDanglingKey(t *testing.T) {
 	cands := &Candidates{IDs: []bat.OID{0, 1, 2}}
 	if _, err := FKPositionsApprox(nil, fkCol, cands, 1, 10); err == nil {
 		t.Error("dangling FK not detected")
-	}
-}
-
-func TestFKPositionsRefineMatchesApprox(t *testing.T) {
-	dimLen := 64
-	rng := rand.New(rand.NewSource(64))
-	n := 3000
-	fk := make([]int64, n)
-	for i := range fk {
-		fk[i] = int64(rng.Intn(dimLen)) + 1
-	}
-	sel := shuffledInts(n, 65)
-	fkResident := decompose(t, fk, 32)
-	fkSplit := decompose(t, fk, 3) // CPU fallback path
-	selCol := decompose(t, sel, 8)
-
-	pk := make([]int64, dimLen)
-	for i := range pk {
-		pk[i] = int64(i) + 1
-	}
-	ix := bulk.BuildFKIndex(nil, 1, pk)
-	if ix == nil {
-		t.Fatal("BuildFKIndex failed")
-	}
-
-	cands := SelectApprox(nil, selCol, selCol.Relax(0, 1500))
-	// Attach the split FK codes so the refinement can reconstruct.
-	pa := ProjectApprox(nil, fkSplit, cands)
-	cands.attach = append(cands.attach, attachment{col: fkSplit, codes: pa.Codes})
-
-	refined, _ := SelectRefine(nil, 1, selCol, 0, 1500, cands)
-	gotRefine, err := FKPositionsRefine(nil, 1, fkSplit, refined, ix)
-	if err != nil {
-		t.Fatalf("FKPositionsRefine: %v", err)
-	}
-	wantApprox, err := FKPositionsApprox(nil, fkResident, refined, 1, dimLen)
-	if err != nil {
-		t.Fatalf("FKPositionsApprox: %v", err)
-	}
-	for i := range gotRefine {
-		if gotRefine[i] != wantApprox[i] {
-			t.Fatalf("refined FK position %d = %d, want %d", i, gotRefine[i], wantApprox[i])
-		}
-	}
-}
-
-func TestThetaJoinApproxRefineMatchesNestedLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(66))
-	for trial := 0; trial < 20; trial++ {
-		nl, nr := rng.Intn(60)+1, rng.Intn(60)+1
-		left := make([]int64, nl)
-		right := make([]int64, nr)
-		for i := range left {
-			left[i] = int64(rng.Intn(1000))
-		}
-		for i := range right {
-			right[i] = int64(rng.Intn(1000))
-		}
-		lCol := decompose(t, left, uint(3+trial%8))
-		rCol := decompose(t, right, uint(3+(trial/2)%8))
-
-		lids, rids := ThetaJoinApprox(nil, lCol, rCol)
-		outL, outR := ThetaJoinRefine(nil, 1, lCol, rCol, lids, rids)
-
-		// Ground truth nested loop.
-		want := 0
-		for _, lv := range left {
-			for _, rv := range right {
-				if lv < rv {
-					want++
-				}
-			}
-		}
-		if len(outL) != want {
-			t.Fatalf("trial %d: theta join size = %d, want %d", trial, len(outL), want)
-		}
-		for k := range outL {
-			if left[outL[k]] >= right[outR[k]] {
-				t.Fatalf("trial %d: pair (%d,%d) violates predicate", trial, outL[k], outR[k])
-			}
-		}
-	}
-}
-
-func TestThetaJoinChargesGPUForApproxCPUForRefine(t *testing.T) {
-	sys := device.PaperSystem()
-	m := device.NewMeter(sys)
-	left := shuffledInts(100, 67)
-	right := shuffledInts(100, 68)
-	lCol := decompose(t, left, 5)
-	rCol := decompose(t, right, 5)
-	lids, rids := ThetaJoinApprox(m, lCol, rCol)
-	if m.GPU == 0 {
-		t.Error("theta approximation charged no GPU time")
-	}
-	ThetaJoinRefine(m, 1, lCol, rCol, lids, rids)
-	if m.CPU == 0 {
-		t.Error("theta refinement charged no CPU time")
 	}
 }

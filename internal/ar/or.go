@@ -154,14 +154,14 @@ func SelectApproxAnyOver(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRan
 	return out
 }
 
-// SelectRefineAnyPar is the refinement of a disjunctive selection: on the
+// SelectRefineAny is the refinement of a disjunctive selection: on the
 // CPU, each candidate's exact value is reconstructed per disjunct column
 // (shipped code + host-resident residual) and the precise disjunction —
 // any lo_k <= v_k <= hi_k — is re-evaluated, eliminating false positives.
 // Morsel survivors land in disjoint arena regions and left-pack in morsel
 // order, preserving candidate order exactly like the conjunctive
 // refinement.
-func SelectRefineAnyPar(p par.P, m *device.Meter, cols []*bwd.Column, los, his []int64, in *Candidates) *Candidates {
+func SelectRefineAny(p par.P, m *device.Meter, cols []*bwd.Column, los, his []int64, in *Candidates) *Candidates {
 	codes := make([][]uint64, len(cols))
 	for k, col := range cols {
 		codes[k] = in.CodesFor(col)

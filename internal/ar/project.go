@@ -103,15 +103,11 @@ func ProjectApproxAt(m *device.Meter, col *bwd.Column, cands *Candidates, at []b
 // refined must be an order-preserving subset of p.Src (which every A&R
 // refinement guarantees); otherwise ErrTranslucentPrecondition is
 // returned.
-func ProjectRefine(m *device.Meter, threads int, p *Projection, refined *Candidates) ([]int64, error) {
-	return ProjectRefinePar(par.Bill(threads), m, p, refined)
-}
-
-// ProjectRefinePar is the morsel-parallel ProjectRefine: the translucent
-// join stays a sequential merge pass (its cursor is inherently serial), the
-// residual lookups and reconstructions fan out over morsels with disjoint
-// output writes.
-func ProjectRefinePar(pp par.P, m *device.Meter, p *Projection, refined *Candidates) ([]int64, error) {
+//
+// Morsel-parallel execution: the translucent join stays a sequential merge
+// pass (its cursor is inherently serial), the residual lookups and
+// reconstructions fan out over morsels with disjoint output writes.
+func ProjectRefine(pp par.P, m *device.Meter, p *Projection, refined *Candidates) ([]int64, error) {
 	if p.Exact() && len(refined.IDs) == len(p.Src.IDs) {
 		// §IV-C: all bits of the projected attribute are device resident
 		// and no candidates were eliminated — the shipped codes already
@@ -124,7 +120,7 @@ func ProjectRefinePar(pp par.P, m *device.Meter, p *Projection, refined *Candida
 		})
 		return out, nil
 	}
-	pos, err := TranslucentJoinMetered(m, pp.NThreads(), p.Src.IDs, refined.IDs)
+	pos, err := TranslucentJoinMetered(pp, m, p.Src.IDs, refined.IDs)
 	if err != nil {
 		return nil, err
 	}

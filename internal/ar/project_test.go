@@ -6,6 +6,7 @@ import (
 	"repro/internal/bat"
 	"repro/internal/bulk"
 	"repro/internal/device"
+	"repro/internal/par"
 )
 
 // pipeline builds the canonical two-column plan of Fig 3: select on one
@@ -22,15 +23,15 @@ func TestProjectApproxRefineMatchesBulk(t *testing.T) {
 	proj := ProjectApprox(nil, priceCol, cands)
 	cands.Ship(nil)
 	proj.Ship(nil)
-	refined, _ := SelectRefine(nil, 1, dateCol, lo, hi, cands)
-	got, err := ProjectRefine(nil, 1, proj, refined)
+	refined, _ := SelectRefine(par.Bill(1), nil, dateCol, lo, hi, cands)
+	got, err := ProjectRefine(par.Bill(1), nil, proj, refined)
 	if err != nil {
 		t.Fatalf("ProjectRefine: %v", err)
 	}
 
 	// Baseline: bulk select then fetch.
-	ids := bulk.SelectRange(nil, 1, bat.NewDense(dates, bat.Width32), lo, hi)
-	wantVals := bulk.Fetch(nil, 1, bat.NewDense(prices, bat.Width32), ids)
+	ids := bulk.SelectRange(par.Bill(1), nil, bat.NewDense(dates, bat.Width32), lo, hi)
+	wantVals := bulk.Fetch(par.Bill(1), nil, bat.NewDense(prices, bat.Width32), ids)
 
 	if len(got) != len(wantVals) {
 		t.Fatalf("projection size = %d, want %d", len(got), len(wantVals))
@@ -58,11 +59,11 @@ func TestProjectRefineUsesTranslucentJoin(t *testing.T) {
 
 	cands := SelectApprox(nil, colA, colA.Relax(100, 2500))
 	proj := ProjectApprox(nil, colB, cands)
-	refined, _ := SelectRefine(nil, 1, colA, 100, 2500, cands)
+	refined, _ := SelectRefine(par.Bill(1), nil, colA, 100, 2500, cands)
 	if len(refined.IDs) == cands.Len() {
 		t.Fatal("test needs false positives to be meaningful")
 	}
-	got, err := ProjectRefine(nil, 1, proj, refined)
+	got, err := ProjectRefine(par.Bill(1), nil, proj, refined)
 	if err != nil {
 		t.Fatalf("ProjectRefine: %v", err)
 	}
@@ -84,7 +85,7 @@ func TestProjectRefineRejectsForeignSubset(t *testing.T) {
 	if cands.Len() < 2 {
 		t.Skip("not enough candidates")
 	}
-	if _, err := ProjectRefine(nil, 1, proj, foreign); err == nil {
+	if _, err := ProjectRefine(par.Bill(1), nil, proj, foreign); err == nil {
 		t.Error("foreign subset accepted by translucent join")
 	}
 }

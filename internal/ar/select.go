@@ -146,17 +146,14 @@ func SelectApproxOver(m *device.Meter, col *bwd.Column, r bwd.ApproxRange, in *C
 // column, so further refinements on other columns can run directly on it.
 // The exact values of col for the surviving candidates are returned
 // alongside.
-func SelectRefine(m *device.Meter, threads int, col *bwd.Column, lo, hi int64, in *Candidates) (*Candidates, []int64) {
-	return SelectRefinePar(par.Bill(threads), m, col, lo, hi, in)
-}
-
-// SelectRefinePar is the morsel-parallel SelectRefine: morsels reconstruct
-// and re-evaluate independently, each writing survivors into its own
-// disjoint region of arena buffers (positions and values stay aligned),
-// and the regions left-pack in morsel order — the same candidate order as
-// the serial loop, with zero allocations in steady state. The returned
-// value slice is arena-backed; ownership passes to the caller.
-func SelectRefinePar(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *Candidates) (*Candidates, []int64) {
+//
+// Morsel-parallel execution: morsels reconstruct and re-evaluate
+// independently, each writing survivors into its own disjoint region of
+// arena buffers (positions and values stay aligned), and the regions left-
+// pack in morsel order — the same candidate order as the serial loop, with
+// zero allocations in steady state. The returned value slice is arena-
+// backed; ownership passes to the caller.
+func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *Candidates) (*Candidates, []int64) {
 	codes := in.CodesFor(col)
 	if codes == nil {
 		panic("ar: SelectRefine on a column that was never approximated over these candidates")
@@ -220,38 +217,6 @@ func SelectRefinePar(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in
 	return out, vals
 }
 
-// ReconstructAll materializes the exact values of col for every candidate,
-// without filtering: the degenerate "selection refinement without a
-// predicate" the paper equates with projection refinement (§IV-C).
-func ReconstructAll(m *device.Meter, threads int, col *bwd.Column, in *Candidates) []int64 {
-	return ReconstructAllPar(par.Bill(threads), m, col, in)
-}
-
-// ReconstructAllPar is the morsel-parallel ReconstructAll: every worker
-// writes a disjoint slice of the output, so alignment is free. The
-// returned slice is arena-backed; ownership passes to the caller.
-func ReconstructAllPar(p par.P, m *device.Meter, col *bwd.Column, in *Candidates) []int64 {
-	codes := in.CodesFor(col)
-	if codes == nil {
-		panic("ar: ReconstructAll on a column without attached codes")
-	}
-	n := len(in.IDs)
-	vals := mem.I64.GetN(n)
-	if p.NWorkers() <= 1 {
-		reconstructRange(col, codes, in.IDs, vals, 0, n)
-	} else {
-		p.For(n, func(mlo, mhi int) {
-			reconstructRange(col, codes, in.IDs, vals, mlo, mhi)
-		})
-	}
-	if m != nil && col.Dec.ResBits > 0 {
-		resFetch := device.RandomFetchBytes(int64(n), residualBytes(col.Dec.ResBits), col.Residual.Bytes())
-		seq := int64(n)*4 + packedBytes(n, col.Dec.ApproxBits) + resFetch + int64(n)*8
-		m.CPUWork(p.NThreads(), seq, 0, int64(n))
-	}
-	return vals
-}
-
 // refineMorsel reconstructs and re-evaluates one morsel of candidates,
 // writing survivor indices and exact values into the morsel's disjoint
 // region [mlo, mlo+count) of the overallocated buffers. A named function
@@ -273,15 +238,4 @@ func refineMorsel(col *bwd.Column, codes []uint64, ids []bat.OID, lo, hi int64, 
 		}
 	}
 	return cnt
-}
-
-// reconstructRange materializes exact values for candidates [mlo, mhi).
-func reconstructRange(col *bwd.Column, codes []uint64, ids []bat.OID, vals []int64, mlo, mhi int) {
-	for i := mlo; i < mhi; i++ {
-		var r uint64
-		if col.Dec.ResBits > 0 {
-			r = col.Residual.Get(int(ids[i]))
-		}
-		vals[i] = col.ReconstructFrom(codes[i], r)
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bat"
 	"repro/internal/device"
 	"repro/internal/mem"
+	"repro/internal/par"
 )
 
 // ErrTranslucentPrecondition is returned when the translucent join's input
@@ -77,7 +78,7 @@ func sortedDense(ids []bat.OID) bool {
 // TranslucentJoinMetered is TranslucentJoin with CPU cost accounting: the
 // merge reads both ID lists sequentially (O(|A|+|B|) accesses, O(|A|)
 // comparisons per the paper's analysis).
-func TranslucentJoinMetered(m *device.Meter, threads int, aIDs, bIDs []bat.OID) ([]int, error) {
+func TranslucentJoinMetered(p par.P, m *device.Meter, aIDs, bIDs []bat.OID) ([]int, error) {
 	pos, err := TranslucentJoin(aIDs, bIDs)
 	if err != nil {
 		return nil, err
@@ -86,7 +87,7 @@ func TranslucentJoinMetered(m *device.Meter, threads int, aIDs, bIDs []bat.OID) 
 	// operator aliases its input (a MonetDB view) instead of joining —
 	// free in the plan, verified here in real execution by TranslucentJoin.
 	if m != nil && len(aIDs) != len(bIDs) {
-		m.CPUWork(threads,
+		m.CPUWork(p.NThreads(),
 			int64(len(aIDs))*4+int64(len(bIDs))*4+int64(len(bIDs))*8, 0,
 			int64(len(aIDs)))
 	}

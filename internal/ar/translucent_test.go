@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/device"
+	"repro/internal/par"
 )
 
 func TestTranslucentJoinPaperExample(t *testing.T) {
@@ -114,7 +115,7 @@ func TestTranslucentJoinMeteredCharges(t *testing.T) {
 	m := device.NewMeter(sys)
 	aIDs := []bat.OID{4, 2, 9, 7}
 	bIDs := []bat.OID{2, 7}
-	if _, err := TranslucentJoinMetered(m, 1, aIDs, bIDs); err != nil {
+	if _, err := TranslucentJoinMetered(par.Bill(1), m, aIDs, bIDs); err != nil {
 		t.Fatalf("TranslucentJoinMetered: %v", err)
 	}
 	if m.CPU == 0 {

@@ -136,11 +136,6 @@ func (a *Array) Set(i int, v uint64) {
 	}
 }
 
-// Unpack appends all values to dst and returns the extended slice.
-func (a *Array) Unpack(dst []uint64) []uint64 {
-	return a.UnpackRange(dst, 0, a.n)
-}
-
 // UnpackRange appends the values at positions [lo, hi) to dst and returns
 // the extended slice. It decodes word-at-a-time: widths that divide 64
 // (1, 2, 4, 8, 16, 32, 64) never straddle a word boundary and run as a
@@ -227,74 +222,6 @@ func (a *Array) UnpackRange(dst []uint64, lo, hi int) []uint64 {
 	return dst
 }
 
-// Gather writes a.Get(id) for each id in ids into dst, which must be at
-// least len(ids) long. It is the positional-lookup primitive behind
-// invisible joins on packed columns.
-func (a *Array) Gather(ids []uint32, dst []uint64) {
-	_ = dst[:len(ids)]
-	for i, id := range ids {
-		dst[i] = a.Get(int(id))
-	}
-}
-
-// Append appends v (masked to the array width) and returns the new length.
-func (a *Array) Append(v uint64) int {
-	i := a.n
-	a.n++
-	if a.width > 0 {
-		if need := wordsFor(a.width, a.n); need > len(a.words) {
-			a.words = append(a.words, make([]uint64, need-len(a.words))...)
-		}
-		a.Set(i, v)
-	}
-	return a.n
-}
-
-// AppendPacked appends every value of b (which must have the same width)
-// at word level: when the append cursor is word-aligned the backing words
-// are copied verbatim, otherwise each source word is split across two
-// destination words with one shift-or pair — either way the per-element
-// Set round-trip is gone. It panics on a width mismatch.
-func (a *Array) AppendPacked(b *Array) int {
-	if a.width != b.width {
-		panic(fmt.Sprintf("bitpack: AppendPacked width mismatch %d != %d", a.width, b.width))
-	}
-	if b.n == 0 {
-		return a.n
-	}
-	if a.width == 0 {
-		a.n += b.n
-		return a.n
-	}
-	oldN := a.n
-	a.n += b.n
-	if need := wordsFor(a.width, a.n); need > len(a.words) {
-		a.words = append(a.words, make([]uint64, need-len(a.words))...)
-	}
-	off := uint64(oldN) * uint64(a.width)
-	w := int(off >> 6)
-	sh := uint(off & 63)
-	srcWords := wordsFor(b.width, b.n)
-	if sh == 0 {
-		copy(a.words[w:], b.words[:srcWords])
-		return a.n
-	}
-	// Clear any stale high bits of the partial word, then interleave.
-	a.words[w] &= Mask(sh)
-	srcRem := uint(uint64(b.width) * uint64(b.n) & 63)
-	for i := 0; i < srcWords; i++ {
-		v := b.words[i]
-		if i == srcWords-1 && srcRem != 0 {
-			v &= Mask(srcRem) // tolerate tail garbage in deserialized words
-		}
-		a.words[w+i] |= v << sh
-		if w+i+1 < len(a.words) {
-			a.words[w+i+1] = v >> (64 - sh)
-		}
-	}
-	return a.n
-}
-
 // Words exposes the backing 64-bit words (nil for width 0). Callers must
 // not mutate them; the slice is the array's live storage. It is the raw
 // representation segment persistence serializes.
@@ -322,40 +249,4 @@ func FromWords(width uint, n int, words []uint64) (*Array, error) {
 		a.words = words
 	}
 	return a, nil
-}
-
-// Clone returns a deep copy of the array.
-func (a *Array) Clone() *Array {
-	c := &Array{width: a.width, n: a.n}
-	if a.words != nil {
-		c.words = make([]uint64, len(a.words))
-		copy(c.words, a.words)
-	}
-	return c
-}
-
-// Equal reports whether two arrays have the same width and contents. The
-// comparison is word-level: all full backing words compare directly, and
-// the final partial word is masked to the bits the n values actually
-// occupy (so tail garbage from deserialized words cannot flip the answer).
-func (a *Array) Equal(b *Array) bool {
-	if a.width != b.width || a.n != b.n {
-		return false
-	}
-	if a.width == 0 || a.n == 0 {
-		return true
-	}
-	bits := uint64(a.width) * uint64(a.n)
-	full := int(bits >> 6)
-	for i := 0; i < full; i++ {
-		if a.words[i] != b.words[i] {
-			return false
-		}
-	}
-	if rem := uint(bits & 63); rem != 0 {
-		if (a.words[full]^b.words[full])&Mask(rem) != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -47,9 +47,6 @@ func TestWidthZero(t *testing.T) {
 	if a.Get(3) != 0 {
 		t.Errorf("width-0 Get = %d, want 0", a.Get(3))
 	}
-	if a.Append(7) != 11 {
-		t.Errorf("Append on width-0 did not grow length")
-	}
 }
 
 func TestSetGetSingleWidths(t *testing.T) {
@@ -110,7 +107,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			vals[i] = v & Mask(width)
 		}
 		a := Pack(width, vals)
-		got := a.Unpack(nil)
+		got := a.UnpackRange(nil, 0, a.Len())
 		if len(got) != len(vals) {
 			return false
 		}
@@ -123,57 +120,6 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAppendGrows(t *testing.T) {
-	a := New(7, 0)
-	for i := 0; i < 1000; i++ {
-		a.Append(uint64(i) & Mask(7))
-	}
-	if a.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", a.Len())
-	}
-	for i := 0; i < 1000; i++ {
-		if got := a.Get(i); got != uint64(i)&Mask(7) {
-			t.Fatalf("Get(%d) = %d, want %d", i, got, uint64(i)&Mask(7))
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	a := Pack(9, []uint64{10, 20, 30, 40, 50})
-	ids := []uint32{4, 0, 2}
-	dst := make([]uint64, len(ids))
-	a.Gather(ids, dst)
-	want := []uint64{50, 10, 30}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("Gather[%d] = %d, want %d", i, dst[i], want[i])
-		}
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	a := Pack(8, []uint64{1, 2, 3})
-	b := a.Clone()
-	if !a.Equal(b) {
-		t.Fatal("clone not equal to original")
-	}
-	b.Set(0, 99)
-	if a.Get(0) != 1 {
-		t.Error("mutating clone changed original")
-	}
-	if a.Equal(b) {
-		t.Error("Equal true after divergence")
-	}
-}
-
-func TestEqualWidthMismatch(t *testing.T) {
-	a := Pack(8, []uint64{1})
-	b := Pack(9, []uint64{1})
-	if a.Equal(b) {
-		t.Error("arrays of different widths reported equal")
 	}
 }
 

@@ -8,26 +8,19 @@
 //   - the refinement substrate: A&R refinement operators run the same tight
 //     CPU loops over candidates and residuals.
 //
-// Every operator takes an optional *device.Meter; when non-nil, the
-// operator charges its simulated cost (bytes scanned/gathered/written and
-// tuple-ops executed) against the CPU device with the given thread count.
-// A nil meter executes without cost accounting.
-//
-// Each operator exists in two forms: the classic signature taking a plain
-// thread count, which executes serially (the historical behaviour, used by
-// loaders, examples and as ground truth in tests), and a ...Par form taking
-// a par.P that executes morsel-parallel with the P's real worker budget
-// while charging the meter for P's simulated thread count. The two forms
-// share one implementation and produce byte-identical results: selections
-// concatenate morsel outputs in morsel order, and grouping/aggregation
-// build per-worker partial states over contiguous blocks that merge in
-// block order, preserving first-appearance group order exactly.
+// Every operator has one signature, X(p par.P, m *device.Meter, ...). P
+// sets the real worker budget and the simulated thread count the meter is
+// charged for; callers that want serial execution pass par.Bill(threads).
+// When m is non-nil the operator charges its simulated cost (bytes
+// scanned/gathered/written and tuple-ops executed) against the CPU device;
+// a nil meter executes without cost accounting. Results are byte-identical
+// for every worker count and morsel size: selections concatenate morsel
+// outputs in morsel order, and grouping/aggregation build per-worker
+// partial states over contiguous blocks that merge in block order,
+// preserving first-appearance group order exactly.
 package bulk
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/bat"
 	"repro/internal/device"
 	"repro/internal/mem"
@@ -59,7 +52,7 @@ const (
 // difference is part of the design.)
 const oidBytes = 8
 
-// parallelMin is the input size below which the ...Par kernels fall back to
+// parallelMin is the input size below which the kernels fall back to
 // the serial loop even with a multi-worker budget: goroutine fan-out on a
 // few thousand rows costs more than it saves. Results are identical either
 // way; this is purely a scheduling decision.
@@ -73,12 +66,7 @@ func serial(p par.P, n int) bool {
 // SelectRange returns the positions of b whose value v satisfies
 // lo <= v <= hi, in input order (the bulk selection is order-preserving,
 // §IV-A item 2). This is MonetDB's uselect.
-func SelectRange(m *device.Meter, threads int, b *bat.BAT, lo, hi int64) []bat.OID {
-	return SelectRangePar(par.Bill(threads), m, b, lo, hi)
-}
-
-// SelectRangePar is the morsel-parallel SelectRange.
-func SelectRangePar(p par.P, m *device.Meter, b *bat.BAT, lo, hi int64) []bat.OID {
+func SelectRange(p par.P, m *device.Meter, b *bat.BAT, lo, hi int64) []bat.OID {
 	tails := b.Tails()
 	var out []bat.OID
 	if serial(p, len(tails)) {
@@ -118,12 +106,7 @@ func SelectRangePar(p par.P, m *device.Meter, b *bat.BAT, lo, hi int64) []bat.OI
 // SelectOIDs filters an existing candidate list: it returns the subset of
 // ids whose value in b satisfies lo <= v <= hi, preserving candidate order.
 // Access to b is positional (gather).
-func SelectOIDs(m *device.Meter, threads int, b *bat.BAT, ids []bat.OID, lo, hi int64) []bat.OID {
-	return SelectOIDsPar(par.Bill(threads), m, b, ids, lo, hi)
-}
-
-// SelectOIDsPar is the morsel-parallel SelectOIDs.
-func SelectOIDsPar(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID, lo, hi int64) []bat.OID {
+func SelectOIDs(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID, lo, hi int64) []bat.OID {
 	tails := b.Tails()
 	var out []bat.OID
 	if serial(p, len(ids)) {
@@ -165,13 +148,10 @@ func SelectOIDsPar(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID, lo, hi i
 // Fetch is the invisible (positional) join: it returns b's values at the
 // given positions, aligned with ids. This is how late-materializing
 // column stores implement projections (§IV-C).
-func Fetch(m *device.Meter, threads int, b *bat.BAT, ids []bat.OID) []int64 {
-	return FetchPar(par.Bill(threads), m, b, ids)
-}
-
-// FetchPar is the morsel-parallel Fetch: each worker writes a disjoint
-// slice of the output, so candidate alignment is preserved for free.
-func FetchPar(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID) []int64 {
+//
+// Morsel-parallel execution: each worker writes a disjoint slice of the
+// output, so candidate alignment is preserved for free.
+func Fetch(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID) []int64 {
 	tails := b.Tails()
 	out := mem.I64.GetN(len(ids))
 	if serial(p, len(ids)) {
@@ -206,16 +186,12 @@ type Grouping struct {
 
 // GroupBy hash-groups the given keys, assigning dense group IDs in order
 // of first appearance.
-func GroupBy(m *device.Meter, threads int, keys []int64) *Grouping {
-	return GroupByPar(par.Bill(threads), m, keys)
-}
-
-// GroupByPar is the morsel-parallel GroupBy: each worker hash-groups one
-// contiguous block into a partial grouping, the partials merge in block
-// order (so global group IDs follow global first appearance, exactly as
-// the serial loop assigns them), and the per-position ID rewrite runs
-// parallel again.
-func GroupByPar(p par.P, m *device.Meter, keys []int64) *Grouping {
+//
+// Morsel-parallel execution: each worker hash-groups one contiguous block
+// into a partial grouping, the partials merge in block order (so global
+// group IDs follow global first appearance, exactly as the serial loop
+// assigns them), and the per-position ID rewrite runs parallel again.
+func GroupBy(p par.P, m *device.Meter, keys []int64) *Grouping {
 	var g *Grouping
 	if serial(p, len(keys)) {
 		idx := make(map[int64]uint32, 64)
@@ -242,7 +218,7 @@ func GroupByPar(p par.P, m *device.Meter, keys []int64) *Grouping {
 	return g
 }
 
-// groupByBlocks is the partial-state grouping core shared by GroupByPar.
+// groupByBlocks is the partial-state grouping core shared by GroupBy.
 func groupByBlocks(p par.P, keys []int64) *Grouping {
 	blocks := p.Blocks(len(keys))
 	type partial struct {
@@ -302,53 +278,12 @@ func groupByBlocks(p par.P, keys []int64) *Grouping {
 	return &Grouping{IDs: ids, NGroups: len(uniq), Keys: uniq}
 }
 
-// CombineKeys packs two key columns into one, for multi-attribute grouping
-// (Q1 groups by l_returnflag, l_linestatus). The packing is positional:
-// b's values must lie in [0, base) so they occupy the low "digit" exactly;
-// a's values may be negative (SplitKey uses floored division to unpack
-// them). CombineKeys reports an error when a b value is outside its digit
-// or when a[i]*base+b[i] would overflow int64 — silently wrapped keys
-// would collide distinct groups.
-func CombineKeys(a, b []int64, base int64) ([]int64, error) {
-	if base <= 0 {
-		return nil, fmt.Errorf("bulk: CombineKeys base %d must be positive", base)
-	}
-	aMin := math.MinInt64 / base // truncation keeps aMin*base >= MinInt64
-	out := make([]int64, len(a))
-	for i := range a {
-		if b[i] < 0 || b[i] >= base {
-			return nil, fmt.Errorf("bulk: CombineKeys value %d at %d outside [0,%d)", b[i], i, base)
-		}
-		if a[i] > (math.MaxInt64-b[i])/base || a[i] < aMin {
-			return nil, fmt.Errorf("bulk: CombineKeys value %d at %d overflows int64 at base %d", a[i], i, base)
-		}
-		out[i] = a[i]*base + b[i]
-	}
-	return out, nil
-}
-
-// SplitKey reverses CombineKeys. Go's truncating / and % mis-split
-// combined keys with a negative high part (e.g. a=-1, b=2, base=10 packs
-// to -8, which truncating division splits as (0,-8)), so the split floors:
-// the remainder is normalized into [0, base) and the quotient adjusted.
-func SplitKey(k, base int64) (a, b int64) {
-	a, b = k/base, k%base
-	if b < 0 {
-		a--
-		b += base
-	}
-	return a, b
-}
-
 // SumGrouped returns per-group sums of vals under the grouping.
-func SumGrouped(m *device.Meter, threads int, vals []int64, g *Grouping) []int64 {
-	return SumGroupedPar(par.Bill(threads), m, vals, g)
-}
-
-// SumGroupedPar is the morsel-parallel SumGrouped: per-worker partial sum
-// arrays merged by addition (exact for int64, so the result is identical
-// for every worker count).
-func SumGroupedPar(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
+//
+// Morsel-parallel execution: per-worker partial sum arrays merged by
+// addition (exact for int64, so the result is identical for every worker
+// count).
+func SumGrouped(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
 	out := mem.I64.GetN(g.NGroups)
 	clear(out)
 	if serial(p, len(vals)) {
@@ -378,12 +313,7 @@ func SumGroupedPar(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 
 }
 
 // CountGrouped returns per-group tuple counts.
-func CountGrouped(m *device.Meter, threads int, g *Grouping) []int64 {
-	return CountGroupedPar(par.Bill(threads), m, g)
-}
-
-// CountGroupedPar is the morsel-parallel CountGrouped.
-func CountGroupedPar(p par.P, m *device.Meter, g *Grouping) []int64 {
+func CountGrouped(p par.P, m *device.Meter, g *Grouping) []int64 {
 	out := mem.I64.GetN(g.NGroups)
 	clear(out)
 	if serial(p, len(g.IDs)) {
@@ -413,12 +343,7 @@ func CountGroupedPar(p par.P, m *device.Meter, g *Grouping) []int64 {
 }
 
 // MinGrouped returns per-group minima of vals under the grouping.
-func MinGrouped(m *device.Meter, threads int, vals []int64, g *Grouping) []int64 {
-	return MinGroupedPar(par.Bill(threads), m, vals, g)
-}
-
-// MinGroupedPar is the morsel-parallel MinGrouped.
-func MinGroupedPar(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
+func MinGrouped(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
 	out, seen := extremaGrouped(p, vals, g, true)
 	mem.Bools.Put(seen)
 	charge(m, p.NThreads(), len(vals), 12)
@@ -426,12 +351,7 @@ func MinGroupedPar(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 
 }
 
 // MaxGrouped returns per-group maxima of vals under the grouping.
-func MaxGrouped(m *device.Meter, threads int, vals []int64, g *Grouping) []int64 {
-	return MaxGroupedPar(par.Bill(threads), m, vals, g)
-}
-
-// MaxGroupedPar is the morsel-parallel MaxGrouped.
-func MaxGroupedPar(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
+func MaxGrouped(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
 	out, seen := extremaGrouped(p, vals, g, false)
 	mem.Bools.Put(seen)
 	charge(m, p.NThreads(), len(vals), 12)
@@ -487,12 +407,7 @@ func extremaGrouped(p par.P, vals []int64, g *Grouping, min bool) ([]int64, []bo
 }
 
 // Sum returns the sum of vals.
-func Sum(m *device.Meter, threads int, vals []int64) int64 {
-	return SumPar(par.Bill(threads), m, vals)
-}
-
-// SumPar is the morsel-parallel Sum.
-func SumPar(p par.P, m *device.Meter, vals []int64) int64 {
+func Sum(p par.P, m *device.Meter, vals []int64) int64 {
 	var s int64
 	if serial(p, len(vals)) {
 		for _, v := range vals {
@@ -518,30 +433,17 @@ func SumPar(p par.P, m *device.Meter, vals []int64) int64 {
 	return s
 }
 
-// Count is the trivial aggregate; it charges nothing.
-func Count(vals []int64) int64 { return int64(len(vals)) }
-
 // Min returns the smallest value; ok is false on empty input.
-func Min(m *device.Meter, threads int, vals []int64) (int64, bool) {
-	return MinPar(par.Bill(threads), m, vals)
-}
-
-// MinPar is the morsel-parallel Min.
-func MinPar(p par.P, m *device.Meter, vals []int64) (int64, bool) {
-	return extremaPar(p, m, vals, true)
+func Min(p par.P, m *device.Meter, vals []int64) (int64, bool) {
+	return extrema(p, m, vals, true)
 }
 
 // Max returns the largest value; ok is false on empty input.
-func Max(m *device.Meter, threads int, vals []int64) (int64, bool) {
-	return MaxPar(par.Bill(threads), m, vals)
+func Max(p par.P, m *device.Meter, vals []int64) (int64, bool) {
+	return extrema(p, m, vals, false)
 }
 
-// MaxPar is the morsel-parallel Max.
-func MaxPar(p par.P, m *device.Meter, vals []int64) (int64, bool) {
-	return extremaPar(p, m, vals, false)
-}
-
-func extremaPar(p par.P, m *device.Meter, vals []int64, min bool) (int64, bool) {
+func extrema(p par.P, m *device.Meter, vals []int64, min bool) (int64, bool) {
 	if len(vals) == 0 {
 		return 0, false
 	}
@@ -597,13 +499,10 @@ func charge(m *device.Meter, threads, n, bytesPer int) {
 
 // GroupByMulti hash-groups tuples by multi-column keys, returning the
 // grouping plus the per-group key values of every column.
-func GroupByMulti(m *device.Meter, threads int, cols [][]int64) (*Grouping, [][]int64) {
-	return GroupByMultiPar(par.Bill(threads), m, cols)
-}
-
-// GroupByMultiPar is the morsel-parallel GroupByMulti, built on the same
-// block-partial merge as GroupByPar (first-appearance order preserved).
-func GroupByMultiPar(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]int64) {
+//
+// Morsel-parallel execution runs on the same block-partial merge as GroupBy
+// (first-appearance order preserved).
+func GroupByMulti(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]int64) {
 	if len(cols) == 0 {
 		return &Grouping{}, nil
 	}
@@ -618,7 +517,7 @@ func GroupByMultiPar(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]i
 }
 
 // groupMultiCore is the unmetered multi-column grouping shared by
-// GroupByMultiPar and the A&R group refinement: dense group IDs in
+// GroupByMulti and the A&R group refinement: dense group IDs in
 // first-appearance order plus the per-group key values of every column.
 func groupMultiCore(p par.P, cols [][]int64) (*Grouping, [][]int64) {
 	n := len(cols[0])

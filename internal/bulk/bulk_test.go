@@ -1,7 +1,6 @@
 package bulk
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,7 +14,7 @@ func intsBAT(vals ...int64) *bat.BAT { return bat.NewDense(vals, bat.Width32) }
 
 func TestSelectRange(t *testing.T) {
 	b := intsBAT(5, 1, 9, 3, 7, 3)
-	got := SelectRange(nil, 1, b, 3, 7)
+	got := SelectRange(par.Bill(1), nil, b, 3, 7)
 	want := []bat.OID{0, 3, 4, 5}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -29,10 +28,10 @@ func TestSelectRange(t *testing.T) {
 
 func TestSelectRangeEmptyAndAll(t *testing.T) {
 	b := intsBAT(1, 2, 3)
-	if got := SelectRange(nil, 1, b, 10, 20); len(got) != 0 {
+	if got := SelectRange(par.Bill(1), nil, b, 10, 20); len(got) != 0 {
 		t.Errorf("empty range returned %v", got)
 	}
-	if got := SelectRange(nil, 1, b, -100, 100); len(got) != 3 {
+	if got := SelectRange(par.Bill(1), nil, b, -100, 100); len(got) != 3 {
 		t.Errorf("covering range returned %d ids, want 3", len(got))
 	}
 }
@@ -43,7 +42,7 @@ func TestSelectRangeOrderPreserving(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(rng.Intn(1000))
 	}
-	got := SelectRange(nil, 1, intsBAT(vals...), 100, 500)
+	got := SelectRange(par.Bill(1), nil, intsBAT(vals...), 100, 500)
 	for i := 1; i < len(got); i++ {
 		if got[i] <= got[i-1] {
 			t.Fatal("bulk selection must be order-preserving (§IV-A item 2)")
@@ -54,7 +53,7 @@ func TestSelectRangeOrderPreserving(t *testing.T) {
 func TestSelectOIDsSubsetsCandidates(t *testing.T) {
 	b := intsBAT(10, 20, 30, 40, 50)
 	cands := []bat.OID{4, 1, 3}
-	got := SelectOIDs(nil, 1, b, cands, 20, 40)
+	got := SelectOIDs(par.Bill(1), nil, b, cands, 20, 40)
 	want := []bat.OID{1, 3} // candidate order preserved
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("got %v, want %v", got, want)
@@ -63,14 +62,14 @@ func TestSelectOIDsSubsetsCandidates(t *testing.T) {
 
 func TestFetch(t *testing.T) {
 	b := intsBAT(100, 200, 300)
-	got := Fetch(nil, 1, b, []bat.OID{2, 0})
+	got := Fetch(par.Bill(1), nil, b, []bat.OID{2, 0})
 	if got[0] != 300 || got[1] != 100 {
 		t.Errorf("Fetch = %v, want [300 100]", got)
 	}
 }
 
 func TestGroupByDenseFirstAppearance(t *testing.T) {
-	g := GroupBy(nil, 1, []int64{7, 3, 7, 9, 3})
+	g := GroupBy(par.Bill(1), nil, []int64{7, 3, 7, 9, 3})
 	if g.NGroups != 3 {
 		t.Fatalf("NGroups = %d, want 3", g.NGroups)
 	}
@@ -90,7 +89,7 @@ func TestGroupByDenseFirstAppearance(t *testing.T) {
 
 func TestGroupByPropertyPartition(t *testing.T) {
 	f := func(keys []int64) bool {
-		g := GroupBy(nil, 1, keys)
+		g := GroupBy(par.Bill(1), nil, keys)
 		if len(g.IDs) != len(keys) {
 			return false
 		}
@@ -106,92 +105,23 @@ func TestGroupByPropertyPartition(t *testing.T) {
 	}
 }
 
-func TestCombineSplitKeys(t *testing.T) {
-	a := []int64{1, 2, 0}
-	b := []int64{5, 0, 9}
-	combined, err := CombineKeys(a, b, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		ga, gb := SplitKey(combined[i], 10)
-		if ga != a[i] || gb != b[i] {
-			t.Errorf("SplitKey(%d) = (%d,%d), want (%d,%d)", combined[i], ga, gb, a[i], b[i])
-		}
-	}
-}
-
-// TestCombineSplitKeysNegative is the regression for the truncating-division
-// split: combined keys with a negative high part round-trip exactly, and
-// grouping on a combined column with negative values produces the same
-// partition as grouping on the tuple directly.
-func TestCombineSplitKeysNegative(t *testing.T) {
-	a := []int64{-1, -3, 0, -1, 7, math.MinInt64 / 10, (math.MaxInt64 - 9) / 10}
-	b := []int64{2, 0, 9, 2, 5, 3, 9}
-	combined, err := CombineKeys(a, b, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		ga, gb := SplitKey(combined[i], 10)
-		if ga != a[i] || gb != b[i] {
-			t.Errorf("SplitKey(%d) = (%d,%d), want (%d,%d)", combined[i], ga, gb, a[i], b[i])
-		}
-	}
-	// Grouping on the combined key must partition identically to grouping
-	// on the (a,b) tuples: equal combined keys iff equal tuples.
-	g := GroupBy(nil, 1, combined)
-	want, _ := GroupByMulti(nil, 1, [][]int64{a, b})
-	if g.NGroups != want.NGroups {
-		t.Fatalf("combined-key grouping found %d groups, tuple grouping %d", g.NGroups, want.NGroups)
-	}
-	for i := range g.IDs {
-		if g.IDs[i] != want.IDs[i] {
-			t.Fatalf("IDs[%d] = %d, tuple grouping says %d", i, g.IDs[i], want.IDs[i])
-		}
-	}
-}
-
-// TestCombineKeysRejectsBadDomain covers the validated domain: low-digit
-// values outside [0, base) and high parts that would overflow int64.
-func TestCombineKeysRejectsBadDomain(t *testing.T) {
-	if _, err := CombineKeys([]int64{1}, []int64{10}, 10); err == nil {
-		t.Error("b value == base accepted")
-	}
-	if _, err := CombineKeys([]int64{1}, []int64{-1}, 10); err == nil {
-		t.Error("negative b value accepted")
-	}
-	if _, err := CombineKeys([]int64{math.MaxInt64/10 + 1}, []int64{0}, 10); err == nil {
-		t.Error("overflowing a value accepted")
-	}
-	if _, err := CombineKeys([]int64{math.MaxInt64 / 10}, []int64{9}, 10); err == nil {
-		t.Error("boundary overflow (a*base+b > MaxInt64) accepted")
-	}
-	if _, err := CombineKeys([]int64{math.MinInt64/10 - 1}, []int64{0}, 10); err == nil {
-		t.Error("negative overflow accepted")
-	}
-	if _, err := CombineKeys([]int64{1}, []int64{0}, 0); err == nil {
-		t.Error("non-positive base accepted")
-	}
-}
-
 func TestGroupedAggregates(t *testing.T) {
 	keys := []int64{1, 2, 1, 2, 1}
 	vals := []int64{10, 20, 30, 40, 50}
-	g := GroupBy(nil, 1, keys)
-	sums := SumGrouped(nil, 1, vals, g)
+	g := GroupBy(par.Bill(1), nil, keys)
+	sums := SumGrouped(par.Bill(1), nil, vals, g)
 	if sums[0] != 90 || sums[1] != 60 {
 		t.Errorf("sums = %v, want [90 60]", sums)
 	}
-	counts := CountGrouped(nil, 1, g)
+	counts := CountGrouped(par.Bill(1), nil, g)
 	if counts[0] != 3 || counts[1] != 2 {
 		t.Errorf("counts = %v, want [3 2]", counts)
 	}
-	mins := MinGrouped(nil, 1, vals, g)
+	mins := MinGrouped(par.Bill(1), nil, vals, g)
 	if mins[0] != 10 || mins[1] != 20 {
 		t.Errorf("mins = %v, want [10 20]", mins)
 	}
-	maxs := MaxGrouped(nil, 1, vals, g)
+	maxs := MaxGrouped(par.Bill(1), nil, vals, g)
 	if maxs[0] != 50 || maxs[1] != 40 {
 		t.Errorf("maxs = %v, want [50 40]", maxs)
 	}
@@ -199,72 +129,31 @@ func TestGroupedAggregates(t *testing.T) {
 
 func TestGlobalAggregates(t *testing.T) {
 	vals := []int64{3, -1, 7, 0}
-	if s := Sum(nil, 1, vals); s != 9 {
+	if s := Sum(par.Bill(1), nil, vals); s != 9 {
 		t.Errorf("Sum = %d, want 9", s)
 	}
-	if c := Count(vals); c != 4 {
-		t.Errorf("Count = %d, want 4", c)
-	}
-	if lo, ok := Min(nil, 1, vals); !ok || lo != -1 {
+	if lo, ok := Min(par.Bill(1), nil, vals); !ok || lo != -1 {
 		t.Errorf("Min = %d,%v, want -1,true", lo, ok)
 	}
-	if hi, ok := Max(nil, 1, vals); !ok || hi != 7 {
+	if hi, ok := Max(par.Bill(1), nil, vals); !ok || hi != 7 {
 		t.Errorf("Max = %d,%v, want 7,true", hi, ok)
 	}
-	if _, ok := Min(nil, 1, nil); ok {
+	if _, ok := Min(par.Bill(1), nil, nil); ok {
 		t.Error("Min on empty input reported ok")
 	}
-	if _, ok := Max(nil, 1, nil); ok {
+	if _, ok := Max(par.Bill(1), nil, nil); ok {
 		t.Error("Max on empty input reported ok")
-	}
-}
-
-func TestHashJoinMatchesNestedLoop(t *testing.T) {
-	f := func(rawL, rawR []uint8) bool {
-		left := make([]int64, len(rawL))
-		for i, v := range rawL {
-			left[i] = int64(v % 16)
-		}
-		right := make([]int64, len(rawR))
-		for i, v := range rawR {
-			right[i] = int64(v % 16)
-		}
-		lids, rids := HashJoin(nil, 1, left, right)
-		if len(lids) != len(rids) {
-			return false
-		}
-		// Count matches both ways.
-		want := 0
-		for _, l := range left {
-			for _, r := range right {
-				if l == r {
-					want++
-				}
-			}
-		}
-		if len(lids) != want {
-			return false
-		}
-		for i := range lids {
-			if left[lids[i]] != right[rids[i]] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 
 func TestFKIndexAndJoin(t *testing.T) {
 	pk := []int64{100, 101, 102, 103, 104}
-	ix := BuildFKIndex(nil, 1, pk)
+	ix := BuildFKIndex(pk)
 	if ix == nil {
 		t.Fatal("BuildFKIndex returned nil for a valid PK")
 	}
 	fks := []int64{103, 100, 999, 104}
-	pos, hit := FKJoin(nil, 1, ix, fks)
+	pos, hit := FKJoin(par.Bill(1), nil, ix, fks)
 	wantPos := []bat.OID{3, 0, 0, 4}
 	wantHit := []bool{true, true, false, true}
 	for i := range fks {
@@ -278,39 +167,17 @@ func TestFKIndexAndJoin(t *testing.T) {
 }
 
 func TestBuildFKIndexRejectsDuplicates(t *testing.T) {
-	if ix := BuildFKIndex(nil, 1, []int64{1, 2, 2}); ix != nil {
+	if ix := BuildFKIndex([]int64{1, 2, 2}); ix != nil {
 		t.Error("duplicate keys accepted as PK")
 	}
 }
 
 func TestBuildFKIndexRejectsSparse(t *testing.T) {
-	if ix := BuildFKIndex(nil, 1, []int64{0, 1 << 40}); ix != nil {
+	if ix := BuildFKIndex([]int64{0, 1 << 40}); ix != nil {
 		t.Error("extremely sparse domain accepted")
 	}
-	if ix := BuildFKIndex(nil, 1, nil); ix != nil {
+	if ix := BuildFKIndex(nil); ix != nil {
 		t.Error("empty PK accepted")
-	}
-}
-
-func TestArithMaps(t *testing.T) {
-	a := []int64{100, 200}
-	b := []int64{5, 10}
-	if got := MapAdd(nil, 1, a, b); got[0] != 105 || got[1] != 210 {
-		t.Errorf("MapAdd = %v", got)
-	}
-	if got := MapSub(nil, 1, a, b); got[0] != 95 || got[1] != 190 {
-		t.Errorf("MapSub = %v", got)
-	}
-	// Fixed-point: 1.00 * 0.05 at scale 100 = 0.05.
-	if got := MapMulScaled(nil, 1, []int64{100}, []int64{5}, 100); got[0] != 5 {
-		t.Errorf("MapMulScaled = %v, want [5]", got)
-	}
-	if got := MapAddConst(nil, 1, a, 1); got[0] != 101 {
-		t.Errorf("MapAddConst = %v", got)
-	}
-	// 1.00 - 0.05 at scale 100.
-	if got := MapSubConstRev(nil, 1, []int64{5}, 100); got[0] != 95 {
-		t.Errorf("MapSubConstRev = %v, want [95]", got)
 	}
 }
 
@@ -322,7 +189,7 @@ func TestMeteredOperatorsCharge(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	b := bat.NewDense(vals, bat.Width32)
-	SelectRange(m, 1, b, 0, 1000)
+	SelectRange(par.Bill(1), m, b, 0, 1000)
 	if m.CPU == 0 {
 		t.Error("metered SelectRange charged nothing")
 	}
@@ -330,7 +197,7 @@ func TestMeteredOperatorsCharge(t *testing.T) {
 		t.Error("CPU operator charged GPU/PCI time")
 	}
 	before := m.CPU
-	Fetch(m, 1, b, []bat.OID{1, 2, 3})
+	Fetch(par.Bill(1), m, b, []bat.OID{1, 2, 3})
 	if m.CPU <= before {
 		t.Error("metered Fetch charged nothing")
 	}
@@ -352,18 +219,18 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		keys2[i] = int64(rng.Intn(11))
 	}
 	b := bat.NewDense(vals, bat.Width32)
-	wantIDs := SelectRange(nil, 1, b, -20_000, 20_000)
-	wantFetch := Fetch(nil, 1, b, wantIDs)
-	wantSub := SelectOIDs(nil, 1, b, wantIDs, -5_000, 5_000)
-	wantG := GroupBy(nil, 1, keys)
-	wantGM, wantKeysM := GroupByMulti(nil, 1, [][]int64{keys, keys2})
-	wantSums := SumGrouped(nil, 1, vals, wantG)
-	wantCounts := CountGrouped(nil, 1, wantG)
-	wantMins := MinGrouped(nil, 1, vals, wantG)
-	wantMaxs := MaxGrouped(nil, 1, vals, wantG)
-	wantSum := Sum(nil, 1, vals)
-	wantMin, _ := Min(nil, 1, vals)
-	wantMax, _ := Max(nil, 1, vals)
+	wantIDs := SelectRange(par.Bill(1), nil, b, -20_000, 20_000)
+	wantFetch := Fetch(par.Bill(1), nil, b, wantIDs)
+	wantSub := SelectOIDs(par.Bill(1), nil, b, wantIDs, -5_000, 5_000)
+	wantG := GroupBy(par.Bill(1), nil, keys)
+	wantGM, wantKeysM := GroupByMulti(par.Bill(1), nil, [][]int64{keys, keys2})
+	wantSums := SumGrouped(par.Bill(1), nil, vals, wantG)
+	wantCounts := CountGrouped(par.Bill(1), nil, wantG)
+	wantMins := MinGrouped(par.Bill(1), nil, vals, wantG)
+	wantMaxs := MaxGrouped(par.Bill(1), nil, vals, wantG)
+	wantSum := Sum(par.Bill(1), nil, vals)
+	wantMin, _ := Min(par.Bill(1), nil, vals)
+	wantMax, _ := Max(par.Bill(1), nil, vals)
 
 	eqOID := func(t *testing.T, what string, got, want []bat.OID) {
 		t.Helper()
@@ -391,43 +258,43 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		for _, chunk := range []int{0, 1, 97, 4096} {
 			p := par.P{Threads: 1, Workers: workers, Chunk: chunk}
 			t.Run("", func(t *testing.T) {
-				eqOID(t, "SelectRangePar", SelectRangePar(p, nil, b, -20_000, 20_000), wantIDs)
-				eq64(t, "FetchPar", FetchPar(p, nil, b, wantIDs), wantFetch)
-				eqOID(t, "SelectOIDsPar", SelectOIDsPar(p, nil, b, wantIDs, -5_000, 5_000), wantSub)
-				g := GroupByPar(p, nil, keys)
+				eqOID(t, "SelectRange", SelectRange(p, nil, b, -20_000, 20_000), wantIDs)
+				eq64(t, "Fetch", Fetch(p, nil, b, wantIDs), wantFetch)
+				eqOID(t, "SelectOIDs", SelectOIDs(p, nil, b, wantIDs, -5_000, 5_000), wantSub)
+				g := GroupBy(p, nil, keys)
 				if g.NGroups != wantG.NGroups {
-					t.Fatalf("GroupByPar: %d groups, want %d", g.NGroups, wantG.NGroups)
+					t.Fatalf("GroupBy: %d groups, want %d", g.NGroups, wantG.NGroups)
 				}
-				eq64(t, "GroupByPar keys", g.Keys, wantG.Keys)
+				eq64(t, "GroupBy keys", g.Keys, wantG.Keys)
 				for i := range wantG.IDs {
 					if g.IDs[i] != wantG.IDs[i] {
-						t.Fatalf("GroupByPar IDs[%d] = %d, want %d", i, g.IDs[i], wantG.IDs[i])
+						t.Fatalf("GroupBy IDs[%d] = %d, want %d", i, g.IDs[i], wantG.IDs[i])
 					}
 				}
-				gm, keysM := GroupByMultiPar(p, nil, [][]int64{keys, keys2})
+				gm, keysM := GroupByMulti(p, nil, [][]int64{keys, keys2})
 				if gm.NGroups != wantGM.NGroups {
-					t.Fatalf("GroupByMultiPar: %d groups, want %d", gm.NGroups, wantGM.NGroups)
+					t.Fatalf("GroupByMulti: %d groups, want %d", gm.NGroups, wantGM.NGroups)
 				}
 				for i := range wantGM.IDs {
 					if gm.IDs[i] != wantGM.IDs[i] {
-						t.Fatalf("GroupByMultiPar IDs[%d] = %d, want %d", i, gm.IDs[i], wantGM.IDs[i])
+						t.Fatalf("GroupByMulti IDs[%d] = %d, want %d", i, gm.IDs[i], wantGM.IDs[i])
 					}
 				}
 				for k := range wantKeysM {
-					eq64(t, "GroupByMultiPar keys", keysM[k], wantKeysM[k])
+					eq64(t, "GroupByMulti keys", keysM[k], wantKeysM[k])
 				}
-				eq64(t, "SumGroupedPar", SumGroupedPar(p, nil, vals, wantG), wantSums)
-				eq64(t, "CountGroupedPar", CountGroupedPar(p, nil, wantG), wantCounts)
-				eq64(t, "MinGroupedPar", MinGroupedPar(p, nil, vals, wantG), wantMins)
-				eq64(t, "MaxGroupedPar", MaxGroupedPar(p, nil, vals, wantG), wantMaxs)
-				if got := SumPar(p, nil, vals); got != wantSum {
-					t.Fatalf("SumPar = %d, want %d", got, wantSum)
+				eq64(t, "SumGrouped", SumGrouped(p, nil, vals, wantG), wantSums)
+				eq64(t, "CountGrouped", CountGrouped(p, nil, wantG), wantCounts)
+				eq64(t, "MinGrouped", MinGrouped(p, nil, vals, wantG), wantMins)
+				eq64(t, "MaxGrouped", MaxGrouped(p, nil, vals, wantG), wantMaxs)
+				if got := Sum(p, nil, vals); got != wantSum {
+					t.Fatalf("Sum = %d, want %d", got, wantSum)
 				}
-				if got, _ := MinPar(p, nil, vals); got != wantMin {
-					t.Fatalf("MinPar = %d, want %d", got, wantMin)
+				if got, _ := Min(p, nil, vals); got != wantMin {
+					t.Fatalf("Min = %d, want %d", got, wantMin)
 				}
-				if got, _ := MaxPar(p, nil, vals); got != wantMax {
-					t.Fatalf("MaxPar = %d, want %d", got, wantMax)
+				if got, _ := Max(p, nil, vals); got != wantMax {
+					t.Fatalf("Max = %d, want %d", got, wantMax)
 				}
 			})
 		}
@@ -450,12 +317,12 @@ func TestParallelChargesMatchSerial(t *testing.T) {
 	sys := device.PaperSystem()
 	run := func(p par.P) *device.Meter {
 		m := device.NewMeter(sys)
-		ids := SelectRangePar(p, m, b, 0, 500_000)
-		FetchPar(p, m, b, ids)
-		g := GroupByPar(p, m, keys)
-		SumGroupedPar(p, m, vals, g)
-		CountGroupedPar(p, m, g)
-		SumPar(p, m, vals)
+		ids := SelectRange(p, m, b, 0, 500_000)
+		Fetch(p, m, b, ids)
+		g := GroupBy(p, m, keys)
+		SumGrouped(p, m, vals, g)
+		CountGrouped(p, m, g)
+		Sum(p, m, vals)
 		return m
 	}
 	for _, threads := range []int{1, 4} {
@@ -479,7 +346,7 @@ func BenchmarkSelectRange(b *testing.B) {
 	b.SetBytes(int64(len(vals)) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SelectRange(nil, 1, bb, 0, 1<<18)
+		SelectRange(par.Bill(1), nil, bb, 0, 1<<18)
 	}
 }
 
@@ -492,6 +359,6 @@ func BenchmarkGroupBy(b *testing.B) {
 	b.SetBytes(int64(len(keys)) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GroupBy(nil, 1, keys)
+		GroupBy(par.Bill(1), nil, keys)
 	}
 }

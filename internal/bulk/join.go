@@ -7,45 +7,6 @@ import (
 	"repro/internal/par"
 )
 
-// HashJoin performs a generic equi-join of two value columns and returns
-// the matching position pairs (left[i] joins right[i]). Build side is the
-// smaller input, probe side the larger, as usual.
-//
-// The paper notes (§IV-D) that generic hash joins are hard to approximate
-// on massively parallel hardware and resorts to pre-built foreign-key
-// indices; HashJoin is the CPU reference implementation used by the
-// baseline engine and by tests as ground truth for the translucent join.
-func HashJoin(m *device.Meter, threads int, left, right []int64) (lids, rids []bat.OID) {
-	build, probe := left, right
-	swapped := false
-	if len(right) < len(left) {
-		build, probe = right, left
-		swapped = true
-	}
-	idx := make(map[int64][]bat.OID, len(build))
-	for i, v := range build {
-		idx[v] = append(idx[v], bat.OID(i))
-	}
-	var bids, pids []bat.OID
-	for i, v := range probe {
-		if matches, ok := idx[v]; ok {
-			for _, b := range matches {
-				bids = append(bids, b)
-				pids = append(pids, bat.OID(i))
-			}
-		}
-	}
-	if m != nil {
-		m.CPUWork(threads,
-			int64(len(build)+len(probe))*8+int64(len(bids))*2*oidBytes, 0,
-			int64(len(build))*OpsHashBuild+int64(len(probe))*OpsHashProbe)
-	}
-	if swapped {
-		return pids, bids
-	}
-	return bids, pids
-}
-
 // FKIndex is a pre-built foreign-key index: for every foreign-key value it
 // records the (single) position of the matching primary key. The paper
 // pre-builds these on the CPU and treats FK joins as projective joins
@@ -57,8 +18,10 @@ type FKIndex struct {
 }
 
 // BuildFKIndex builds an index over a unique (primary-key) column.
-// Returns nil if the keys are not unique or the domain is degenerate.
-func BuildFKIndex(m *device.Meter, threads int, pk []int64) *FKIndex {
+// Returns nil if the keys are not unique or the domain is degenerate. The
+// build is not metered: like the paper, the store pre-builds FK indices
+// outside query execution.
+func BuildFKIndex(pk []int64) *FKIndex {
 	if len(pk) == 0 {
 		return nil
 	}
@@ -84,10 +47,6 @@ func BuildFKIndex(m *device.Meter, threads int, pk []int64) *FKIndex {
 		idx.present[slot] = true
 		idx.pos[slot] = bat.OID(i)
 	}
-	if m != nil {
-		m.CPUWork(threads, int64(len(pk))*8, int64(len(pk))*oidBytes,
-			int64(len(pk))*OpsHashBuild)
-	}
 	return idx
 }
 
@@ -104,13 +63,10 @@ func (ix *FKIndex) Lookup(fk int64) (bat.OID, bool) {
 // index; with a pre-built index the join is equivalent to a projective
 // join (§IV-D). Dangling foreign keys are dropped; hit[i] reports whether
 // fk position i found a partner.
-func FKJoin(m *device.Meter, threads int, ix *FKIndex, fks []int64) (pkPos []bat.OID, hit []bool) {
-	return FKJoinPar(par.Bill(threads), m, ix, fks)
-}
-
-// FKJoinPar is the morsel-parallel FKJoin: probes are independent and each
-// worker writes a disjoint slice of pkPos/hit.
-func FKJoinPar(p par.P, m *device.Meter, ix *FKIndex, fks []int64) (pkPos []bat.OID, hit []bool) {
+//
+// Morsel-parallel execution: probes are independent and each worker writes a
+// disjoint slice of pkPos/hit.
+func FKJoin(p par.P, m *device.Meter, ix *FKIndex, fks []int64) (pkPos []bat.OID, hit []bool) {
 	pkPos = oidPool.GetN(len(fks))
 	hit = mem.Bools.GetN(len(fks))
 	clear(hit)

@@ -7,13 +7,7 @@ import (
 	"repro/internal/par"
 )
 
-// TopK selects the k smallest of n items under less, serially; see
-// TopKPar.
-func TopK(m *device.Meter, threads, n, k int, bytesPer int64, less func(i, j int) bool) []int {
-	return TopKPar(par.Bill(threads), m, n, k, bytesPer, less)
-}
-
-// TopKPar returns the indices of the k smallest items of [0,n) under the
+// TopK returns the indices of the k smallest items of [0,n) under the
 // strict weak order less, sorted ascending — the ORDER BY ... LIMIT k
 // kernel. Ties break on the original index, making the selection a total
 // order: the result is the unique global top-k, identical for every
@@ -30,7 +24,7 @@ func TopK(m *device.Meter, threads, n, k int, bytesPer int64, less func(i, j int
 // read; the billed operation count is the deterministic n·ceil(log2(k+1))
 // comparison bound, never the data-dependent heap work, so meters stay
 // bit-identical across worker counts and morsel sizes.
-func TopKPar(p par.P, m *device.Meter, n, k int, bytesPer int64, less func(i, j int) bool) []int {
+func TopK(p par.P, m *device.Meter, n, k int, bytesPer int64, less func(i, j int) bool) []int {
 	if k > n {
 		k = n
 	}

@@ -253,47 +253,3 @@ func (c *Column) Reconstruct(i int) int64 {
 func (c *Column) ReconstructFrom(approx, residual uint64) int64 {
 	return c.Dec.Base + int64(approx<<c.Dec.ResBits|residual)
 }
-
-// ApproxLow returns the smallest value consistent with the approximation
-// code at position i. The true value lies in [ApproxLow, ApproxLow+Err].
-func (c *Column) ApproxLow(i int) int64 {
-	return c.Dec.Base + int64(c.Approx.Get(i)<<c.Dec.ResBits)
-}
-
-// ValueToApprox maps a value into the approximation (shifted) domain,
-// clamping to the representable range. ok is false when the value lies
-// outside [Base, Base + 2^TotalBits).
-func (c *Column) ValueToApprox(v int64) (code uint64, ok bool) {
-	if v < c.Dec.Base {
-		return 0, false
-	}
-	shifted := uint64(v - c.Dec.Base)
-	code = shifted >> c.Dec.ResBits
-	if code > c.Dec.MaxApprox() {
-		return c.Dec.MaxApprox(), false
-	}
-	return code, true
-}
-
-// ChooseBits returns the largest device-resident bit width whose
-// bit-packed approximation of b fits within budgetBytes, or 0 if not even
-// a 1-bit approximation fits. This implements the automatic-decomposition
-// direction the paper sketches as future work (§VII-B, "Storage
-// Optimization"): given a device-memory budget, pick the resolution.
-func ChooseBits(b *bat.BAT, budgetBytes int64) uint {
-	if b.Len() == 0 || budgetBytes <= 0 {
-		return 0
-	}
-	lo, hi := b.MinMax()
-	total := uint(bits.Len64(uint64(hi - lo)))
-	if total == 0 {
-		total = 1
-	}
-	for w := total; w >= 1; w-- {
-		need := (int64(b.Len())*int64(w) + 63) / 64 * 8
-		if need <= budgetBytes {
-			return w
-		}
-	}
-	return 0
-}

@@ -78,7 +78,7 @@ func TestApproxErrorBound(t *testing.T) {
 			return false
 		}
 		for i, v := range vals {
-			lo := c.ApproxLow(i)
+			lo := c.Dec.Base + int64(c.Approx.Get(i)<<c.Dec.ResBits)
 			if v < lo || v > lo+c.Dec.Err() {
 				return false // true value escaped the error bound
 			}
@@ -197,23 +197,6 @@ func TestCompressionRatioSpatialStyle(t *testing.T) {
 	}
 }
 
-func TestValueToApprox(t *testing.T) {
-	vals := []int64{100, 200, 300}
-	c := mustDecompose(t, vals, 4) // span 200 -> 8 total bits -> 4/4 split
-	if c.Dec.ResBits != 4 {
-		t.Fatalf("ResBits = %d, want 4", c.Dec.ResBits)
-	}
-	if code, ok := c.ValueToApprox(100); !ok || code != 0 {
-		t.Errorf("ValueToApprox(100) = %d,%v, want 0,true", code, ok)
-	}
-	if _, ok := c.ValueToApprox(99); ok {
-		t.Error("value below base reported ok")
-	}
-	if _, ok := c.ValueToApprox(1000); ok {
-		t.Error("value above range reported ok")
-	}
-}
-
 func TestReconstructFrom(t *testing.T) {
 	c := mustDecompose(t, []int64{0, 1023}, 5) // 10 bits total, 5/5
 	for i, want := range []int64{0, 1023} {
@@ -229,40 +212,5 @@ func TestDecompositionString(t *testing.T) {
 	c := mustDecompose(t, []int64{0, 1023}, 5)
 	if c.Dec.String() == "" {
 		t.Error("empty Decomposition.String()")
-	}
-}
-
-func TestChooseBits(t *testing.T) {
-	vals := make([]int64, 1000)
-	for i := range vals {
-		vals[i] = int64(i) // 10 total bits
-	}
-	b := bat.NewDense(vals, bat.Width32)
-	// Plenty of budget: full resolution.
-	if got := ChooseBits(b, 1<<20); got != 10 {
-		t.Errorf("ChooseBits(ample) = %d, want 10", got)
-	}
-	// Half the footprint: fewer bits.
-	full := (int64(1000)*10 + 63) / 64 * 8
-	got := ChooseBits(b, full/2)
-	if got == 0 || got >= 10 {
-		t.Errorf("ChooseBits(half) = %d, want within (0,10)", got)
-	}
-	// The chosen width must actually fit.
-	need := (int64(1000)*int64(got) + 63) / 64 * 8
-	if need > full/2 {
-		t.Errorf("chosen width %d needs %d bytes > budget %d", got, need, full/2)
-	}
-	// No budget at all.
-	if got := ChooseBits(b, 0); got != 0 {
-		t.Errorf("ChooseBits(0) = %d, want 0", got)
-	}
-	if got := ChooseBits(bat.NewDense(nil, bat.Width32), 100); got != 0 {
-		t.Errorf("ChooseBits(empty) = %d, want 0", got)
-	}
-	// Constant column still reports one bit.
-	c := bat.NewDense([]int64{5, 5, 5}, bat.Width32)
-	if got := ChooseBits(c, 1<<10); got != 1 {
-		t.Errorf("ChooseBits(constant) = %d, want 1", got)
 	}
 }

@@ -1,75 +1,8 @@
 package bwd
 
 import (
-	"fmt"
-
 	"repro/internal/bitpack"
 )
-
-// CmpOp enumerates the comparison operators whose predicates the paper's
-// approximate selection relaxes (§IV-B).
-type CmpOp int
-
-// Comparison operators.
-const (
-	Eq CmpOp = iota // == x
-	Gt              // >  x
-	Ge              // >= x
-	Lt              // <  x
-	Le              // <= x
-)
-
-func (op CmpOp) String() string {
-	switch op {
-	case Eq:
-		return "=="
-	case Gt:
-		return ">"
-	case Ge:
-		return ">="
-	case Lt:
-		return "<"
-	case Le:
-		return "<="
-	default:
-		return fmt.Sprintf("CmpOp(%d)", int(op))
-	}
-}
-
-// Appr is the paper's appr(x): the value with its resBits minor bits
-// zeroed, i.e. x bitmasked with the bitwise complement of (1<<resbits)-1.
-func Appr(x int64, resBits uint) int64 {
-	return x &^ int64((uint64(1)<<resBits)-1)
-}
-
-// F is the paper's predicate-relaxation function f(x) (§IV-B), verbatim:
-//
-//	f(x) = appr(x)                      if op is '== x'
-//	f(x) = appr(x) - 1                  if op is '>  x'
-//	f(x) = appr(x)                      if op is '>= x'
-//	f(x) = appr(x) + (1<<resbits) + 1   if op is '<  x'
-//	f(x) = appr(x) + (1<<resbits)       if op is '<= x'
-//
-// Scanning the zeroed-minor-bits data with the same operator against f(x)
-// yields a superset of the precise result (the false positives live in the
-// boundary buckets and are eliminated by the refinement).
-func F(x int64, op CmpOp, resBits uint) int64 {
-	a := Appr(x, resBits)
-	switch op {
-	case Eq:
-		return a
-	case Gt:
-		return a - 1
-	case Ge:
-		return a
-	case Lt:
-		return a + int64(uint64(1)<<resBits) + 1
-	case Le:
-		return a + int64(uint64(1)<<resBits)
-	default:
-		panic(fmt.Sprintf("bwd: unknown CmpOp %d", int(op)))
-	}
-}
 
 // ApproxRange is a closed interval [Lo, Hi] of approximation codes in the
 // shifted domain, plus emptiness/totality flags. It is the compiled form
@@ -130,33 +63,4 @@ func (c *Column) Relax(lo, hi int64) ApproxRange {
 		r.Full = true
 	}
 	return r
-}
-
-// RelaxOp relaxes a single-operator predicate `v op x` into the
-// approximation domain, mirroring the paper's f(x) row by row.
-func (c *Column) RelaxOp(op CmpOp, x int64) ApproxRange {
-	const (
-		minInt = -int64(^uint64(0)>>1) - 1
-		maxInt = int64(^uint64(0) >> 1)
-	)
-	switch op {
-	case Eq:
-		return c.Relax(x, x)
-	case Gt:
-		if x == maxInt {
-			return ApproxRange{Empty: true}
-		}
-		return c.Relax(x+1, maxInt)
-	case Ge:
-		return c.Relax(x, maxInt)
-	case Lt:
-		if x == minInt {
-			return ApproxRange{Empty: true}
-		}
-		return c.Relax(minInt, x-1)
-	case Le:
-		return c.Relax(minInt, x)
-	default:
-		panic(fmt.Sprintf("bwd: unknown CmpOp %d", int(op)))
-	}
 }

@@ -242,17 +242,3 @@ func widthFor(spec ColumnSpec, vals []int64) int {
 		return bat.Width64
 	}
 }
-
-// PrefixRange returns the code range of dictionary entries with the given
-// prefix — the Q14-style rewrite over a loaded dictionary.
-func PrefixRange(dict []string, prefix string) (lo, hi int64, ok bool) {
-	start := sort.SearchStrings(dict, prefix)
-	end := start
-	for end < len(dict) && len(dict[end]) >= len(prefix) && dict[end][:len(prefix)] == prefix {
-		end++
-	}
-	if end == start {
-		return 0, 0, false
-	}
-	return int64(start), int64(end - 1), true
-}

@@ -36,16 +36,6 @@ func (m *Meter) Add(o *Meter) {
 	m.PCI += o.PCI
 }
 
-// Scale multiplies all charges by f. The experiment harness uses this to
-// extrapolate a run at reduced data scale to the paper's data scale — every
-// charge below is linear in the input size, so the extrapolation is exact
-// (see DESIGN.md §1).
-func (m *Meter) Scale(f float64) {
-	m.GPU = time.Duration(float64(m.GPU) * f)
-	m.CPU = time.Duration(float64(m.CPU) * f)
-	m.PCI = time.Duration(float64(m.PCI) * f)
-}
-
 // kernelTime is the generic device charge: fixed launch latency plus the
 // larger of the bandwidth term and the compute term (a kernel is either
 // memory-bound or compute-bound).

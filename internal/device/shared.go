@@ -40,12 +40,6 @@ func (s *SharedMeter) Totals() (gpu, cpu, pci time.Duration, queries int64) {
 	return s.gpu, s.cpu, s.pci, s.queries
 }
 
-// Total returns the summed simulated time across all resources.
-func (s *SharedMeter) Total() time.Duration {
-	gpu, cpu, pci, _ := s.Totals()
-	return gpu + cpu + pci
-}
-
 // String formats the totals like Meter.String, plus the query count.
 func (s *SharedMeter) String() string {
 	gpu, cpu, pci, q := s.Totals()

@@ -349,16 +349,32 @@ func (s *Store) noteApplied(table string, lsn uint64) {
 // --- plan.Durability: the write-ahead hooks ---
 
 // LogInsert logs an INSERT and applies it (write-ahead; see package doc).
-func (s *Store) LogInsert(table string, rows [][]int64, apply func() error) error {
-	mu := s.tableMu(table)
-	mu.Lock()
-	defer mu.Unlock()
-	rec := Record{Type: recInsert, Table: table, Rows: rows}
-	if err := s.wal.append(&rec); err != nil {
+// groups[i] is the row group for tables[i]: one table for a plain insert,
+// one per touched partition for a partitioned one. Each group is its own
+// record under its table's name, so every partition keeps its own
+// checkpoint horizon, but all records reach the WAL in one write: a
+// killed process persists the statement whole or not at all. apply(i)
+// applies group i; every logged group is applied, and the first error is
+// returned. Callers list tables in one fixed order (partition index), so
+// concurrent statements take the table locks in the same order.
+func (s *Store) LogInsert(tables []string, groups [][][]int64, apply func(i int) error) error {
+	recs := make([]*Record, len(tables))
+	for i, table := range tables {
+		mu := s.tableMu(table)
+		mu.Lock()
+		defer mu.Unlock()
+		recs[i] = &Record{Type: recInsert, Table: table, Rows: groups[i]}
+	}
+	if err := s.wal.append(recs...); err != nil {
 		return err
 	}
-	err := apply()
-	s.noteApplied(table, rec.LSN)
+	var err error
+	for i, rec := range recs {
+		if aerr := apply(i); aerr != nil && err == nil {
+			err = aerr
+		}
+		s.noteApplied(rec.Table, rec.LSN)
+	}
 	return err
 }
 
@@ -631,9 +647,6 @@ func (s *Store) Dirty(table string) bool {
 	snap := t.Snapshot()
 	return snap.DeltaLen() > 0 || snap.DeletedCount() > 0
 }
-
-// Sync forces the WAL to stable storage (clean-shutdown path).
-func (s *Store) Sync() error { return s.wal.Sync() }
 
 // Close fsyncs and closes the WAL. It does not checkpoint; the engine's
 // Close checkpoints every dirty table first so a clean shutdown leaves an

@@ -400,8 +400,12 @@ func TestStoreDecomposeAndFKRecover(t *testing.T) {
 	if d.Dec.ApproxBits != 7 {
 		t.Fatalf("recovered decomposition has %d approx bits, want 7 (WAL tail lost?)", d.Dec.ApproxBits)
 	}
-	if _, err := cat2.FKIndex("m", "k"); err != nil {
+	mt, err := cat2.Table("m")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if mt.Snapshot().FKIndex("k") == nil {
+		t.Fatal("recovered table m lost its FK index on k")
 	}
 }
 

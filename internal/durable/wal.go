@@ -275,11 +275,13 @@ func encodeFrame(rec Record) ([]byte, error) {
 	return frame, nil
 }
 
-// append assigns the next LSN to rec, writes its frame, and — under
-// SyncAlways — blocks until the frame is fsynced (group commit). The
-// caller-visible contract: when append returns nil under SyncAlways, the
-// record survives kill -9.
-func (w *wal) append(rec *Record) error {
+// append assigns consecutive LSNs to recs, writes their frames with one
+// write call, and — under SyncAlways — blocks until the frames are fsynced
+// (group commit). The caller-visible contract: when append returns nil
+// under SyncAlways, the records survive kill -9; and because a killed
+// process cannot interrupt a write call half way, a kill never persists
+// some of recs without the rest.
+func (w *wal) append(recs ...*Record) error {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -290,27 +292,36 @@ func (w *wal) append(rec *Record) error {
 		w.mu.Unlock()
 		return err
 	}
-	rec.LSN = w.next
-	frame, err := encodeFrame(*rec)
-	if err != nil {
-		w.mu.Unlock()
-		return err
+	var frames []byte
+	for i, rec := range recs {
+		rec.LSN = w.next + uint64(i)
+		frame, err := encodeFrame(*rec)
+		if err != nil {
+			w.mu.Unlock()
+			return err
+		}
+		if i == 0 {
+			frames = frame
+		} else {
+			frames = append(frames, frame...)
+		}
 	}
-	w.next++
-	if _, err := w.f.Write(frame); err != nil {
+	last := recs[len(recs)-1].LSN
+	w.next = last + 1
+	if _, err := w.f.Write(frames); err != nil {
 		w.syncErr = fmt.Errorf("durable: WAL append: %w", err)
 		w.mu.Unlock()
 		return err
 	}
-	w.size += int64(len(frame))
-	w.records++
-	w.appends++
-	w.written = rec.LSN
+	w.size += int64(len(frames))
+	w.records += int64(len(recs))
+	w.appends += int64(len(recs))
+	w.written = last
 	if w.policy != SyncAlways {
 		w.mu.Unlock()
 		return nil
 	}
-	err = w.waitSynced(rec.LSN)
+	err := w.waitSynced(last)
 	w.mu.Unlock()
 	return err
 }

@@ -313,11 +313,6 @@ func (e *Engine) Prepare(ctx context.Context, src string) (*Stmt, error) {
 	return e.defaultSession().Prepare(ctx, src)
 }
 
-// QueryPlan executes a logical plan.Query on the engine's default session.
-func (e *Engine) QueryPlan(ctx context.Context, q plan.Query) (*Result, error) {
-	return e.defaultSession().QueryPlan(ctx, q)
-}
-
 // DescribePlan renders the physical pipeline the query would run —
 // chosen scan strategy, cost-ordered filters with estimated
 // selectivities and cardinalities, join chain, delta/top-k stages —
@@ -378,9 +373,6 @@ func (e *Engine) AnalyzeStatement(ctx context.Context, sess *Session, src string
 	}
 	return lines, nil
 }
-
-// Totals returns the engine-wide meter totals across all sessions.
-func (e *Engine) Totals() *device.SharedMeter { return &e.sched.Totals }
 
 // compile resolves a statement through the plan cache, compiling and
 // inserting on miss. Write statements (bwdecompose, INSERT, DELETE,

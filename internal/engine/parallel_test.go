@@ -53,7 +53,7 @@ func TestParallelSchedulerTotalsStress(t *testing.T) {
 				return
 			default:
 				_ = eng.Scheduler().Stats()
-				_ = eng.Totals().Total()
+				_, _, _, _ = eng.Scheduler().Totals.Totals()
 				_ = strings.Join(eng.StatsLines(nil), "\n")
 			}
 		}
@@ -65,7 +65,7 @@ func TestParallelSchedulerTotalsStress(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if _, _, _, queries := eng.Totals().Totals(); queries != streams*perStream {
+	if _, _, _, queries := eng.Scheduler().Totals.Totals(); queries != streams*perStream {
 		t.Fatalf("Totals merged %d queries, want %d", queries, streams*perStream)
 	}
 	st := eng.Scheduler().Stats()

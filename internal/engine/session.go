@@ -176,9 +176,6 @@ type Stmt struct {
 	deps    map[string]uint64
 }
 
-// Src returns the statement's source text.
-func (st *Stmt) Src() string { return st.src }
-
 // Exec executes the prepared statement under ctx. For parameterized
 // statements (src containing $1..$9), params supplies one literal per
 // placeholder — int, int64, float64 or string forms of the SQL literal.

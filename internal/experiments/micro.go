@@ -46,7 +46,7 @@ func selectionExperiment(sys *device.System, col *bwd.Column, lo, hi int64, thre
 	cands := ar.SelectApprox(m, col, col.Relax(lo, hi))
 	approxOnly := m.Total().Seconds()
 	cands.Ship(m)
-	ar.SelectRefinePar(par.P{Threads: threads}, m, col, lo, hi, cands)
+	ar.SelectRefine(par.P{Threads: threads}, m, col, lo, hi, cands)
 	return approxOnly, m.Total().Seconds()
 }
 
@@ -90,7 +90,7 @@ func fig8Selection(opts Options, id, title string, approxBits uint) (*Figure, er
 	for _, sel := range SelectivitySweep {
 		hi := int64(float64(MicroDomain)*sel/100) - 1
 		m := device.NewMeter(sys)
-		bulk.SelectRangePar(par.P{Threads: opts.Threads}, m, b, 0, hi)
+		bulk.SelectRange(par.P{Threads: opts.Threads}, m, b, 0, hi)
 		monetT := m.Total().Seconds()
 
 		a, t := selectionExperiment(sys, col, 0, hi, opts.Threads)
@@ -216,18 +216,18 @@ func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, e
 		// measures the projection, like the paper's per-operator breakdown.
 		cands := ar.SelectApprox(nil, dsel, dsel.Relax(0, hi))
 		cands.Ship(nil)
-		refined, _ := ar.SelectRefinePar(par.P{Threads: opts.Threads}, nil, dsel, 0, hi, cands)
-		ids := bulk.SelectRangePar(par.P{Threads: opts.Threads}, nil, selCol, 0, hi)
+		refined, _ := ar.SelectRefine(par.P{Threads: opts.Threads}, nil, dsel, 0, hi, cands)
+		ids := bulk.SelectRange(par.P{Threads: opts.Threads}, nil, selCol, 0, hi)
 
 		m := device.NewMeter(sys)
-		bulk.FetchPar(par.P{Threads: opts.Threads}, m, prjCol, ids)
+		bulk.Fetch(par.P{Threads: opts.Threads}, m, prjCol, ids)
 		monetT := m.Total().Seconds()
 
 		m = device.NewMeter(sys)
 		proj := ar.ProjectApprox(m, dprj, refined)
 		approxT := m.Total().Seconds()
 		proj.Ship(m)
-		if _, err := ar.ProjectRefinePar(par.P{Threads: opts.Threads}, m, proj, refined); err != nil {
+		if _, err := ar.ProjectRefine(par.P{Threads: opts.Threads}, m, proj, refined); err != nil {
 			return nil, err
 		}
 		totalT := m.Total().Seconds()
@@ -277,7 +277,7 @@ func Fig8f(opts Options) (*Figure, error) {
 		}
 
 		m := device.NewMeter(sys)
-		bulk.GroupByPar(par.P{Threads: opts.Threads}, m, keys)
+		bulk.GroupBy(par.P{Threads: opts.Threads}, m, keys)
 		monetT := m.Total().Seconds()
 
 		m = device.NewMeter(sys)
@@ -286,7 +286,7 @@ func Fig8f(opts Options) (*Figure, error) {
 		approxT := m.Total().Seconds()
 		grouping.Ship(m)
 		cands.Ship(m)
-		if _, err := ar.GroupRefinePar(par.P{Threads: opts.Threads}, m, grouping, cands); err != nil {
+		if _, err := ar.GroupRefine(par.P{Threads: opts.Threads}, m, grouping, cands); err != nil {
 			return nil, err
 		}
 		totalT := m.Total().Seconds()

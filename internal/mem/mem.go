@@ -165,21 +165,16 @@ var (
 	U64   Pool[uint64] // candidate codes, bit-packed decode scratch
 	I64   Pool[int64]  // values, aggregate partials
 	Ints  Pool[int]    // selection vectors, morsel counts
-	U32   Pool[uint32] // tuple IDs
 	Bools Pool[bool]   // seen flags for extrema partials
 )
 
 // Scratch is one worker's morsel-local scratch: a bump allocator over
-// typed backing arrays that is reset at every morsel and pooled across
+// a uint64 backing array that is reset at every morsel and pooled across
 // queries. Buffers carved from it are valid only until the next Reset —
 // they must never escape the morsel callback that took them.
 type Scratch struct {
 	u64  []uint64
 	u64n int
-	i64  []int64
-	i64n int
-	ints []int
-	intn int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -194,7 +189,7 @@ func PutScratch(s *Scratch) {
 }
 
 // Reset invalidates every buffer previously carved from the scratch.
-func (s *Scratch) Reset() { s.u64n, s.i64n, s.intn = 0, 0, 0 }
+func (s *Scratch) Reset() { s.u64n = 0 }
 
 // U64 carves n uint64s with unspecified contents.
 func (s *Scratch) U64(n int) []uint64 {
@@ -205,30 +200,6 @@ func (s *Scratch) U64(n int) []uint64 {
 	}
 	out := s.u64[s.u64n : s.u64n+n]
 	s.u64n += n
-	return out
-}
-
-// I64 carves n int64s with unspecified contents.
-func (s *Scratch) I64(n int) []int64 {
-	if s.i64n+n > len(s.i64) {
-		grown := make([]int64, growTo(s.i64n+n))
-		copy(grown, s.i64[:s.i64n])
-		s.i64 = grown
-	}
-	out := s.i64[s.i64n : s.i64n+n]
-	s.i64n += n
-	return out
-}
-
-// Ints carves n ints with unspecified contents.
-func (s *Scratch) Ints(n int) []int {
-	if s.intn+n > len(s.ints) {
-		grown := make([]int, growTo(s.intn+n))
-		copy(grown, s.ints[:s.intn])
-		s.ints = grown
-	}
-	out := s.ints[s.intn : s.intn+n]
-	s.intn += n
 	return out
 }
 

@@ -157,52 +157,10 @@ func ForScratch(n, chunk, workers int, fn func(s *mem.Scratch, lo, hi int)) {
 	wg.Wait()
 }
 
-// Gather runs fn over [0,n) in chunks and concatenates the per-chunk
-// results. If ordered is true the concatenation follows chunk order (the
-// output permutation equals the input permutation); otherwise chunks are
-// concatenated in the deterministic shuffled order of Permute, modelling a
-// GPU kernel whose thread blocks complete out of order.
-func Gather[T any](n, chunk, workers int, ordered bool, fn func(lo, hi int) []T) []T {
-	if n <= 0 {
-		return nil
-	}
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	nchunks := (n + chunk - 1) / chunk
-	parts := make([][]T, nchunks)
-	For(n, chunk, workers, func(lo, hi int) {
-		parts[lo/chunk] = fn(lo, hi)
-	})
-	order := make([]int, nchunks)
-	for i := range order {
-		order[i] = i
-	}
-	if !ordered {
-		order = Permute(nchunks)
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]T, 0, total)
-	for _, c := range order {
-		out = append(out, parts[c]...)
-	}
-	return out
-}
-
-// Permute returns a deterministic permutation of [0,n) that is not the
-// identity for n > 2. It visits indices with a stride that is coprime to n,
-// which scatters chunk completion order the way an unsynchronized device
-// would.
-func Permute(n int) []int {
-	return PermuteInto(make([]int, n))
-}
-
-// PermuteInto fills p with the deterministic Permute permutation of
-// [0,len(p)) and returns it — the allocation-free form for callers that
-// draw p from the arena.
+// PermuteInto fills p with a deterministic permutation of [0,len(p)) that
+// is not the identity for len(p) > 2, and returns it. It visits indices
+// with a stride coprime to len(p), which scatters chunk completion order
+// the way an unsynchronized device would; callers draw p from the arena.
 func PermuteInto(p []int) []int {
 	n := len(p)
 	if n <= 0 {
@@ -260,9 +218,10 @@ type P struct {
 	Ctx     context.Context // polled per morsel; nil means never cancelled
 }
 
-// Bill returns a P that executes serially while charging the meter for the
-// given simulated thread count — the behaviour every pre-morsel call site
-// had, kept for the compatibility wrappers in packages bulk and ar.
+// Bill returns a P that executes serially on the calling goroutine while
+// charging the meter for the given simulated thread count: the P for
+// callers that want one worker (loaders, examples, reference runs in
+// tests), passed to the same kernels the engine runs.
 func Bill(threads int) P { return P{Threads: threads, Workers: 1} }
 
 // NThreads returns the billable thread count (at least 1).

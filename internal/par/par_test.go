@@ -2,7 +2,6 @@ package par
 
 import (
 	"context"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -51,7 +50,7 @@ func TestForZeroAndNegativeN(t *testing.T) {
 
 func TestGatherOrderedPreservesOrder(t *testing.T) {
 	n := 1000
-	got := Gather(n, 64, 8, true, func(lo, hi int) []int {
+	got := GatherOrdered(P{Workers: 8, Chunk: 64}, n, func(lo, hi int) []int {
 		out := make([]int, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			out = append(out, i)
@@ -68,59 +67,10 @@ func TestGatherOrderedPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestGatherUnorderedIsPermutationButNotIdentity(t *testing.T) {
-	n := 1000
-	got := Gather(n, 64, 8, false, func(lo, hi int) []int {
-		out := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, i)
-		}
-		return out
-	})
-	if len(got) != n {
-		t.Fatalf("len = %d, want %d", len(got), n)
-	}
-	identity := true
-	for i, v := range got {
-		if v != i {
-			identity = false
-			break
-		}
-	}
-	if identity {
-		t.Error("unordered gather returned identity permutation; GPU semantics not modelled")
-	}
-	sorted := append([]int(nil), got...)
-	sort.Ints(sorted)
-	for i, v := range sorted {
-		if v != i {
-			t.Fatalf("unordered gather is not a permutation: sorted[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestGatherUnorderedDeterministic(t *testing.T) {
-	run := func() []int {
-		return Gather(500, 32, 8, false, func(lo, hi int) []int {
-			out := make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				out = append(out, i)
-			}
-			return out
-		})
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("unordered gather not deterministic at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
 func TestPermuteIsPermutation(t *testing.T) {
 	f := func(raw uint16) bool {
 		n := int(raw%2000) + 1
-		p := Permute(n)
+		p := PermuteInto(make([]int, n))
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
@@ -137,7 +87,7 @@ func TestPermuteIsPermutation(t *testing.T) {
 
 func TestPermuteNotIdentityForLargeN(t *testing.T) {
 	for _, n := range []int{3, 4, 10, 100, 1024} {
-		p := Permute(n)
+		p := PermuteInto(make([]int, n))
 		identity := true
 		for i, v := range p {
 			if v != i {
@@ -146,7 +96,7 @@ func TestPermuteNotIdentityForLargeN(t *testing.T) {
 			}
 		}
 		if identity {
-			t.Errorf("Permute(%d) is the identity", n)
+			t.Errorf("PermuteInto(%d) is the identity", n)
 		}
 	}
 }

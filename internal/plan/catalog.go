@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bat"
-	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/shard"
@@ -76,15 +75,6 @@ func (t *Table) AddColumnScaled(name string, b *bat.BAT, scale int64) error {
 	return nil
 }
 
-// Column returns a column by name.
-func (t *Table) Column(name string) (*bat.BAT, error) {
-	c, ok := t.cols[name]
-	if !ok {
-		return nil, fmt.Errorf("plan: unknown column %s.%s", t.Name, name)
-	}
-	return c.b, nil
-}
-
 // Len returns the row count.
 func (t *Table) Len() int {
 	if t.n < 0 {
@@ -113,8 +103,10 @@ func (t *Table) Columns() []string {
 type Durability interface {
 	// LogCreate logs a CREATE TABLE; apply registers the table.
 	LogCreate(name string, defs []store.ColumnDef, apply func() error) error
-	// LogInsert logs an INSERT of row-major, schema-order values.
-	LogInsert(table string, rows [][]int64, apply func() error) error
+	// LogInsert logs an INSERT of row-major, schema-order values:
+	// groups[i] goes to tables[i], all groups as one atomic WAL write;
+	// apply(i) appends group i.
+	LogInsert(tables []string, groups [][][]int64, apply func(i int) error) error
 	// LogDelete logs a DELETE by conjunction of closed ranges.
 	LogDelete(table string, preds []store.Range, apply func() error) error
 	// LogDecompose logs a bitwise decomposition (col, approx bits).
@@ -432,39 +424,42 @@ func (c *Catalog) BuildFKIndex(table, col string) error {
 	return build()
 }
 
-// FKIndex returns the current pre-built index over table.col.
-func (c *Catalog) FKIndex(table, col string) (*bulk.FKIndex, error) {
-	t, err := c.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	ix := t.Snapshot().FKIndex(col)
-	if ix == nil {
-		return nil, fmt.Errorf("plan: no FK index on %s.%s; call BuildFKIndex first", table, col)
-	}
-	return ix, nil
-}
-
 // InsertRows appends rows (schema order, scaled values) to table's delta
 // segment, charging the host-side append to m (which may be nil).
 func (c *Catalog) InsertRows(m *device.Meter, table string, rows [][]int64) (int, error) {
 	if p, ok := c.Partitioned(table); ok {
 		return c.insertPartitioned(m, p, rows)
 	}
-	t, err := c.Table(table)
-	if err != nil {
-		return 0, err
+	return c.insertGroups(m, []string{table}, [][][]int64{rows})
+}
+
+// insertGroups appends groups[i] to table names[i]. With durability
+// attached, all groups are logged as one WAL write before any is applied.
+func (c *Catalog) insertGroups(m *device.Meter, names []string, groups [][][]int64) (int, error) {
+	tables := make([]*store.Table, len(names))
+	for i, name := range names {
+		t, err := c.Table(name)
+		if err != nil {
+			return 0, err
+		}
+		tables[i] = t
+	}
+	total := 0
+	apply := func(i int) error {
+		n, err := tables[i].Insert(m, groups[i])
+		total += n
+		return err
 	}
 	if d := c.durability(); d != nil {
-		var n int
-		err := d.LogInsert(table, rows, func() error {
-			var aerr error
-			n, aerr = t.Insert(m, rows)
-			return aerr
-		})
-		return n, err
+		err := d.LogInsert(names, groups, apply)
+		return total, err
 	}
-	return t.Insert(m, rows)
+	for i := range tables {
+		if err := apply(i); err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // DeleteRows marks every live row of table satisfying all filters deleted

@@ -156,25 +156,24 @@ func (c *Catalog) SchemaTable(name string) (*store.Table, error) {
 }
 
 // insertPartitioned routes rows to their partitions and appends each
-// group. With durability attached every non-empty group is its own WAL
+// non-empty group. With durability attached every group is its own WAL
 // record under the partition table's name, so each partition's checkpoint
 // horizon covers exactly its own rows and replay re-applies them to the
-// right partition directly. Atomicity is per partition: a crash between
-// group appends can persist a row subset of one statement, never a torn
-// row.
+// right partition directly; the records of one statement reach the WAL in
+// one write, so a killed process never persists part of a statement.
 func (c *Catalog) insertPartitioned(m *device.Meter, p *shard.Partitioned, rows [][]int64) (int, error) {
-	total := 0
+	var names []string
+	var groups [][][]int64
 	for i, group := range p.Split(rows) {
-		if len(group) == 0 {
-			continue
-		}
-		n, err := c.InsertRows(m, shard.PartName(p.Name, i), group)
-		total += n
-		if err != nil {
-			return total, err
+		if len(group) > 0 {
+			names = append(names, shard.PartName(p.Name, i))
+			groups = append(groups, group)
 		}
 	}
-	return total, nil
+	if len(names) == 0 {
+		return 0, nil
+	}
+	return c.insertGroups(m, names, groups)
 }
 
 // deletePartitioned fans a delete out to every partition.

@@ -385,13 +385,13 @@ func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
 		prev := refined
 		if len(joins) == 0 {
 			var vals []int64
-			refined, vals = ar.SelectRefinePar(pp, m, d, rf.f.Lo, rf.f.Hi, prev)
+			refined, vals = ar.SelectRefine(pp, m, d, rf.f.Lo, rf.f.Hi, prev)
 			mem.I64.Put(vals)
 		} else {
 			// Keep every join's positions aligned while filtering.
 			var err error
 			refined, err = refineKeepingJoins(pp, joins, func() *ar.Candidates {
-				out, vals := ar.SelectRefinePar(pp, m, d, rf.f.Lo, rf.f.Hi, prev)
+				out, vals := ar.SelectRefine(pp, m, d, rf.f.Lo, rf.f.Hi, prev)
 				mem.I64.Put(vals)
 				return out
 			}, prev)
@@ -412,7 +412,7 @@ func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
 		cur := refined
 		var err error
 		refined, err = refineKeepingJoins(pp, joins, func() *ar.Candidates {
-			return ar.SelectRefineAnyPar(pp, m, cols, los, his, cur)
+			return ar.SelectRefineAny(pp, m, cols, los, his, cur)
 		}, cur)
 		if err != nil {
 			return nil, err
@@ -432,7 +432,7 @@ func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
 			dd := snap.get(spec.Dim, rf.f.Col)
 			prev, prevPos := refined, jr.pos
 			var vals []int64
-			refined, jr.pos, vals = ar.SelectRefineAtPar(pp, m, dd, rf.f.Lo, rf.f.Hi, prev, prevPos)
+			refined, jr.pos, vals = ar.SelectRefineAt(pp, m, dd, rf.f.Lo, rf.f.Hi, prev, prevPos)
 			mem.I64.Put(vals)
 			if err := remapJoinLists(pp, joins, jr, prev, refined); err != nil {
 				return nil, err
@@ -456,9 +456,9 @@ func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
 		var vals []int64
 		var err error
 		if ref.IsDim() {
-			vals, err = ar.ProjectRefineAtPar(pp, m, p, refined, posFor(ref.Dim))
+			vals, err = ar.ProjectRefineAt(pp, m, p, refined, posFor(ref.Dim))
 		} else {
-			vals, err = ar.ProjectRefinePar(pp, m, p, refined)
+			vals, err = ar.ProjectRefine(pp, m, p, refined)
 		}
 		if err != nil {
 			return nil, err
@@ -628,11 +628,8 @@ func approxAnswer(m *device.Meter, q Query, cands *ar.Candidates, projections ma
 					total.Hi += v
 				}
 			}
-			if a.Func == Avg {
-				cnt := out.Count
-				if cnt.Lo > 0 {
-					total = ar.Interval{Lo: total.Lo / cnt.Hi, Hi: total.Hi / cnt.Lo}
-				}
+			if a.Func == Avg && out.Count.Lo > 0 {
+				total = avgBounds(total, out.Count)
 			}
 			out.Aggs = append(out.Aggs, total)
 		case Min, Max:
@@ -642,30 +639,69 @@ func approxAnswer(m *device.Meter, q Query, cands *ar.Candidates, projections ma
 					ivs = append(ivs, ar.Exact(v))
 				}
 			}
-			var total ar.Interval
-			for i, iv := range ivs {
-				if i == 0 {
-					total = iv
-					continue
-				}
-				if a.Func == Min {
-					if iv.Lo < total.Lo {
-						total.Lo = iv.Lo
-					}
-					if iv.Hi < total.Hi {
-						total.Hi = iv.Hi
-					}
-				} else {
-					if iv.Hi > total.Hi {
-						total.Hi = iv.Hi
-					}
-					if iv.Lo > total.Lo {
-						total.Lo = iv.Lo
-					}
-				}
-			}
-			out.Aggs = append(out.Aggs, total)
+			// Delta rows (past the candidates) are exact and qualify.
+			n := cands.Len()
+			out.Aggs = append(out.Aggs, extremeBounds(a.Func, ivs, func(i int) bool { return i >= n || cands.Certain(i) }))
 		}
 	}
 	return out
+}
+
+// avgBounds bounds sum/count for a sum in total and a count in cnt
+// (cnt.Lo > 0). The truncating quotient is monotone in each operand, so
+// its extremes over the box lie at the four corners; taking the min and
+// max of all four stays valid whatever the signs of the sum bounds.
+func avgBounds(total, cnt ar.Interval) ar.Interval {
+	q := [4]int64{total.Lo / cnt.Lo, total.Lo / cnt.Hi, total.Hi / cnt.Lo, total.Hi / cnt.Hi}
+	out := ar.Interval{Lo: q[0], Hi: q[0]}
+	for _, v := range q[1:] {
+		out.Lo = min(out.Lo, v)
+		out.Hi = max(out.Hi, v)
+	}
+	return out
+}
+
+// extremeBounds folds MIN/MAX intervals into one phase-A bound; certain(i)
+// reports whether ivs[i] belongs to rows known to qualify (a certain
+// candidate, a delta row, a partition that certainly holds rows). Any
+// interval may hold the extreme, so every one widens the outer bound (the
+// lower end for MIN, the upper end for MAX). Only certain ones may tighten
+// the inner bound: a possible false positive whose approximation looks
+// extreme is the trap of Fig 6. With nothing certain, the inner bound is
+// the weakest any interval admits.
+func extremeBounds(f AggFunc, ivs []ar.Interval, certain func(i int) bool) ar.Interval {
+	if len(ivs) == 0 {
+		return ar.Interval{}
+	}
+	// ends splits iv into its end toward the extreme (outer) and its end
+	// away from it (inner); beyond reports whether a is more extreme than b.
+	ends := func(iv ar.Interval) (outer, inner int64) {
+		if f == Min {
+			return iv.Lo, iv.Hi
+		}
+		return iv.Hi, iv.Lo
+	}
+	beyond := func(a, b int64) bool { return (f == Min && a < b) || (f == Max && a > b) }
+	outer, weakest := ends(ivs[0])
+	var inner int64
+	haveInner := false
+	for i, iv := range ivs {
+		o, in := ends(iv)
+		if beyond(o, outer) {
+			outer = o
+		}
+		if beyond(weakest, in) {
+			weakest = in
+		}
+		if certain(i) && (!haveInner || beyond(in, inner)) {
+			inner, haveInner = in, true
+		}
+	}
+	if !haveInner {
+		inner = weakest
+	}
+	if f == Min {
+		return ar.Interval{Lo: outer, Hi: inner}
+	}
+	return ar.Interval{Lo: inner, Hi: outer}
 }

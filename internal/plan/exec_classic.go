@@ -62,7 +62,7 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 		if err != nil {
 			return nil, err
 		}
-		ids = bulk.SelectRangePar(pp, m, b, f0.Lo, f0.Hi)
+		ids = bulk.SelectRange(pp, m, b, f0.Lo, f0.Hi)
 		st.traceEst(len(ids), st.estApply(pl.factFilters[0].estSel()), "algebra.uselect(%s.%s)", q.Table, f0.Col)
 		for _, rf := range pl.factFilters[1:] {
 			if err := st.step(StageBulk); err != nil {
@@ -73,7 +73,7 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 				return nil, err
 			}
 			prev := ids
-			ids = bulk.SelectOIDsPar(pp, m, b, prev, rf.f.Lo, rf.f.Hi)
+			ids = bulk.SelectOIDs(pp, m, b, prev, rf.f.Lo, rf.f.Hi)
 			bat.OIDPool.Put(prev)
 			st.traceEst(len(ids), st.estApply(rf.estSel()), "algebra.uselect(%s.%s)", q.Table, rf.f.Col)
 		}
@@ -101,7 +101,7 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			if err != nil {
 				return nil, err
 			}
-			cols[k] = bulk.FetchPar(pp, m, b, ids)
+			cols[k] = bulk.Fetch(pp, m, b, ids)
 		}
 		filters := g.filters
 		prev := ids
@@ -149,8 +149,8 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			return nil, fmt.Errorf("plan: no FK index on %s.%s; call BuildFKIndex first", spec.Dim, spec.DimPK)
 		}
 		lookups[spec.Dim] = ix.Lookup
-		fkVals := bulk.FetchPar(pp, m, fkBAT, ids)
-		pos, hit := bulk.FKJoinPar(pp, m, ix, fkVals)
+		fkVals := bulk.Fetch(pp, m, fkBAT, ids)
+		pos, hit := bulk.FKJoin(pp, m, ix, fkVals)
 		mem.I64.Put(fkVals)
 		// Keep the id list, this join's positions, and every earlier
 		// join's positions aligned while dropping misses and rows joined
@@ -178,7 +178,7 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			if err != nil {
 				return nil, err
 			}
-			vals := bulk.FetchPar(pp, m, db, joinPos[ji])
+			vals := bulk.Fetch(pp, m, db, joinPos[ji])
 			f := rf.f
 			curIDs, curPos := ids, joinPos[ji]
 			pairs := par.GatherOrdered(pp, len(vals), func(lo, hi int) []idKeep {
@@ -240,13 +240,13 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			if err != nil {
 				return nil, err
 			}
-			ectx.vals[ref] = bulk.FetchPar(pp, m, db, posFor(ref.Dim))
+			ectx.vals[ref] = bulk.Fetch(pp, m, db, posFor(ref.Dim))
 		} else {
 			fb, err := fact.Column(ref.Name)
 			if err != nil {
 				return nil, err
 			}
-			ectx.vals[ref] = bulk.FetchPar(pp, m, fb, ids)
+			ectx.vals[ref] = bulk.Fetch(pp, m, fb, ids)
 		}
 		st.traceRows(ectx.n, "algebra.leftjoin(%s)", ref.Name)
 	}

@@ -487,59 +487,20 @@ func combineAnswers(q Query, answers []ApproxAnswer) ApproxAnswer {
 	return out
 }
 
-// combineExtreme folds per-partition Min/Max intervals. For Min: the outer
-// (lower) bound is the least Lo over every possibly-nonempty partition; the
-// inner (upper) bound is the least Hi over the certainly-nonempty ones —
-// falling back to the greatest Hi over the possible ones when no partition
-// is certain. Max mirrors with the roles of Lo and Hi swapped.
+// combineExtreme folds per-partition Min/Max intervals with the same
+// certainty rule as one partition's candidates (extremeBounds): every
+// possibly-nonempty partition (Count.Hi > 0) widens the outer bound, and
+// only a certainly-nonempty one (Count.Lo > 0) tightens the inner bound.
 func combineExtreme(f AggFunc, answers []ApproxAnswer, k int) ar.Interval {
-	outerSet, innerSet := false, false
-	var outer, inner int64
+	var ivs []ar.Interval
+	var certain []bool
 	for _, a := range answers {
-		if a.Count.Hi == 0 {
-			continue
-		}
-		iv := a.Aggs[k]
-		if f == Min {
-			if !outerSet || iv.Lo < outer {
-				outer, outerSet = iv.Lo, true
-			}
-			if a.Count.Lo > 0 && (!innerSet || iv.Hi < inner) {
-				inner, innerSet = iv.Hi, true
-			}
-		} else {
-			if !outerSet || iv.Hi > outer {
-				outer, outerSet = iv.Hi, true
-			}
-			if a.Count.Lo > 0 && (!innerSet || iv.Lo > inner) {
-				inner, innerSet = iv.Lo, true
-			}
+		if a.Count.Hi > 0 {
+			ivs = append(ivs, a.Aggs[k])
+			certain = append(certain, a.Count.Lo > 0)
 		}
 	}
-	if !outerSet {
-		return ar.Interval{}
-	}
-	if !innerSet {
-		// No partition certainly holds rows: the weakest bound any possible
-		// partition admits.
-		for _, a := range answers {
-			if a.Count.Hi == 0 {
-				continue
-			}
-			iv := a.Aggs[k]
-			if f == Min {
-				if !innerSet || iv.Hi > inner {
-					inner, innerSet = iv.Hi, true
-				}
-			} else if !innerSet || iv.Lo < inner {
-				inner, innerSet = iv.Lo, true
-			}
-		}
-	}
-	if f == Min {
-		return ar.Interval{Lo: outer, Hi: inner}
-	}
-	return ar.Interval{Lo: inner, Hi: outer}
+	return extremeBounds(f, ivs, func(i int) bool { return certain[i] })
 }
 
 // explainScatter renders a partitioned query plan without executing it: the

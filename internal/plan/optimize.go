@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/bwd"
-	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/store"
 )
@@ -385,8 +384,8 @@ func (q *Query) validate(c *Catalog) (*execSnap, error) {
 	}
 	if len(q.Filters) == 0 && len(q.Or) == 0 {
 		// The approximation subplan needs a fact-side column to scan.
-		// Rejecting here keeps CanExecAR aligned with what ExecAR can
-		// actually run, so auto-mode routing falls back to classic.
+		// Rejecting here, before any execution, lets auto-mode routing
+		// fall back to classic.
 		if _, ok := q.anchorColumn(); !ok {
 			return nil, fmt.Errorf("plan: A&R plan needs a fact-side column to scan (add a filter, grouping, or fact-column aggregate)")
 		}
@@ -421,30 +420,6 @@ func (q *Query) validateClassic(c *Catalog) (*execSnap, error) {
 		return nil, err
 	}
 	return snap, nil
-}
-
-// ARValidate reports why the query cannot run as an A&R plan against this
-// catalog (typically: a touched column is not bitwise decomposed), or nil
-// if it can.
-func (c *Catalog) ARValidate(q Query) error {
-	if p, ok := c.Partitioned(q.Table); ok {
-		// Partitions share one schema and DDL fans out to all of them, so
-		// partition 0 is representative of the scatter's A&R capability.
-		qi := q
-		qi.Table = shard.PartName(p.Name, 0)
-		_, err := qi.validate(c)
-		return err
-	}
-	_, err := q.validate(c)
-	return err
-}
-
-// CanExecAR reports whether the query can run as an A&R plan against this
-// catalog — i.e. every column it touches is bitwise decomposed. The server's
-// device-aware scheduler uses it to route statements: A&R-capable plans go
-// to the GPU stream, the rest to the classic CPU pool.
-func (c *Catalog) CanExecAR(q Query) bool {
-	return c.ARValidate(q) == nil
 }
 
 // anchorColumn picks the column whose approximation the full-table scan

@@ -58,7 +58,8 @@ func partPropCatalog(t testing.TB, parts int, kind shard.Kind, rows [][]int64) *
 // same logical table partitioned 1, 2 and 7 ways (hash and range) must
 // return rows byte-identical to the unpartitioned table in both executor
 // modes, after every step of a random interleaving of inserts, deletes and
-// merges — and each partition count must stay byte-stable with a
+// merges, with every ungrouped phase-A bound containing the exact value —
+// and each partition count must stay byte-stable with a
 // bit-identical meter across a worker-count/morsel sweep (partition counts
 // differ in per-kernel launch costs, so meters are only compared within a
 // fixed count). Run with -race: the partition scans run concurrently.
@@ -134,6 +135,7 @@ func TestPropPartitionEquivalence(t *testing.T) {
 					if !EqualResults(refAR.Rows, refCl.Rows) {
 						t.Fatalf("step %d query %d: plain A&R %v != classic %v", step, qi, refAR.Rows, refCl.Rows)
 					}
+					checkApproxAggs(t, fmt.Sprintf("step %d query %d plain", step, qi), q, refAR)
 					for _, v := range variants[1:] {
 						ar, err := v.cat.ExecAR(q, serial)
 						if err != nil {
@@ -155,6 +157,7 @@ func TestPropPartitionEquivalence(t *testing.T) {
 							t.Fatalf("step %d query %d %s: approx count %v excludes exact %d",
 								step, qi, v.label, ar.Approx.Count, exact)
 						}
+						checkApproxAggs(t, fmt.Sprintf("step %d query %d %s", step, qi, v.label), q, ar)
 						// Worker/morsel sweep at this fixed partition count:
 						// byte-stable rows, bit-identical meter.
 						opts := ExecOpts{Threads: 1, Workers: 2 + rng.Intn(6), Morsel: []int{64, 512, 0}[rng.Intn(3)]}

@@ -83,7 +83,8 @@ func propQueries(rng *rand.Rand) []Query {
 // TestARMatchesClassicUnderDML is the property test: after every step of a
 // random interleaving of inserts, deletes and merges, the classic and A&R
 // executors must return identical results for a mix of selection, grouping
-// and aggregation queries.
+// and aggregation queries, and every phase-A bound of an ungrouped A&R
+// result must contain the exact value.
 func TestARMatchesClassicUnderDML(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
@@ -128,6 +129,8 @@ func TestARMatchesClassicUnderDML(t *testing.T) {
 					if ar.Approx.Count.Lo > exact || ar.Approx.Count.Hi < exact {
 						t.Fatalf("step %d query %d: approx count %v excludes exact %d", step, qi, ar.Approx.Count, exact)
 					}
+					// So must every phase-A aggregate bound.
+					checkApproxAggs(t, fmt.Sprintf("step %d query %d", step, qi), q, ar)
 				}
 			}
 		})

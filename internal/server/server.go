@@ -70,9 +70,6 @@ func New(eng *engine.Engine) *Server {
 	}
 }
 
-// Engine returns the engine the server adapts.
-func (s *Server) Engine() *engine.Engine { return s.eng }
-
 // ListenAndServe listens on addr ("host:port") and serves until Close.
 func (s *Server) ListenAndServe(addr string) error {
 	l, err := net.Listen("tcp", addr)

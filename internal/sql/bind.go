@@ -773,14 +773,3 @@ func Normalize(src string) string {
 	}
 	return sb.String()
 }
-
-// Format renders a result like a small SQL client.
-func Format(res *plan.Result) string {
-	if res == nil {
-		return "ok\n"
-	}
-	if res.Rows == nil && len(res.Plan) > 0 {
-		return strings.Join(res.Plan, "\n") + "\n"
-	}
-	return plan.FormatRows(res.Rows)
-}

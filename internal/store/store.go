@@ -370,7 +370,7 @@ func Restore(name string, schema []ColumnDef, cols []*bat.BAT, decs []*bwd.Colum
 		}
 		var ix *bulk.FKIndex
 		if strictlyDense(seg.cols[i].Tails()) {
-			ix = bulk.BuildFKIndex(nil, 1, seg.cols[i].Tails())
+			ix = bulk.BuildFKIndex(seg.cols[i].Tails())
 		}
 		if ix == nil {
 			return nil, fmt.Errorf("store: restore %s: %s is no longer a dense key", name, schema[i].Name)
@@ -461,12 +461,6 @@ func (t *Table) Columns() []string {
 	out := t.ColumnNames()
 	sort.Strings(out)
 	return out
-}
-
-// Column returns the current base-segment BAT of a column — a convenience
-// for loaders and tests; executors read through a pinned Snapshot instead.
-func (t *Table) Column(name string) (*bat.BAT, error) {
-	return t.cur.Load().Column(name)
 }
 
 // ColumnScale returns the fixed-point scale of a column.
@@ -656,7 +650,7 @@ func (t *Table) BuildFKIndex(col string) error {
 	if !strictlyDense(s.base.cols[i].Tails()) {
 		return fmt.Errorf("store: %s.%s is not a dense unique key", t.name, col)
 	}
-	ix := bulk.BuildFKIndex(nil, 1, s.base.cols[i].Tails())
+	ix := bulk.BuildFKIndex(s.base.cols[i].Tails())
 	if ix == nil {
 		return fmt.Errorf("store: %s.%s is not a dense unique key", t.name, col)
 	}
@@ -793,7 +787,7 @@ func (t *Table) mergeLocked(m *device.Meter, auto bool) (MergeStats, error) {
 		}
 		var ix *bulk.FKIndex
 		if strictlyDense(seg.cols[c].Tails()) {
-			ix = bulk.BuildFKIndex(nil, 1, seg.cols[c].Tails())
+			ix = bulk.BuildFKIndex(seg.cols[c].Tails())
 		}
 		if ix == nil {
 			for _, nd := range seg.decs {
