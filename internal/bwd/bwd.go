@@ -253,3 +253,18 @@ func (c *Column) Reconstruct(i int) int64 {
 func (c *Column) ReconstructFrom(approx, residual uint64) int64 {
 	return c.Dec.Base + int64(approx<<c.Dec.ResBits|residual)
 }
+
+// ValueToApprox maps a value into the approximation (shifted) domain,
+// clamping to the representable range. ok is false when the value lies
+// outside [Base, Base + 2^TotalBits).
+func (c *Column) ValueToApprox(v int64) (code uint64, ok bool) {
+	if v < c.Dec.Base {
+		return 0, false
+	}
+	shifted := uint64(v - c.Dec.Base)
+	code = shifted >> c.Dec.ResBits
+	if code > c.Dec.MaxApprox() {
+		return c.Dec.MaxApprox(), false
+	}
+	return code, true
+}

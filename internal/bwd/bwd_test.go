@@ -197,6 +197,23 @@ func TestCompressionRatioSpatialStyle(t *testing.T) {
 	}
 }
 
+func TestValueToApprox(t *testing.T) {
+	vals := []int64{100, 200, 300}
+	c := mustDecompose(t, vals, 4) // span 200 -> 8 total bits -> 4/4 split
+	if c.Dec.ResBits != 4 {
+		t.Fatalf("ResBits = %d, want 4", c.Dec.ResBits)
+	}
+	if code, ok := c.ValueToApprox(100); !ok || code != 0 {
+		t.Errorf("ValueToApprox(100) = %d,%v, want 0,true", code, ok)
+	}
+	if _, ok := c.ValueToApprox(99); ok {
+		t.Error("value below base reported ok")
+	}
+	if _, ok := c.ValueToApprox(1000); ok {
+		t.Error("value above range reported ok")
+	}
+}
+
 func TestReconstructFrom(t *testing.T) {
 	c := mustDecompose(t, []int64{0, 1023}, 5) // 10 bits total, 5/5
 	for i, want := range []int64{0, 1023} {

@@ -42,17 +42,10 @@ func (c *Column) Relax(lo, hi int64) ApproxRange {
 	if hi < c.Dec.Base || lo > maxVal {
 		return ApproxRange{Empty: true}
 	}
+	// Out-of-domain bounds clamp to the bottom and top codes.
 	var r ApproxRange
-	if lo <= c.Dec.Base {
-		r.Lo = 0
-	} else {
-		r.Lo = uint64(lo-c.Dec.Base) >> c.Dec.ResBits
-	}
-	if hi >= maxVal {
-		r.Hi = c.Dec.MaxApprox()
-	} else {
-		r.Hi = uint64(hi-c.Dec.Base) >> c.Dec.ResBits
-	}
+	r.Lo, _ = c.ValueToApprox(lo)
+	r.Hi, _ = c.ValueToApprox(hi)
 	// Full only when the VALUE predicate covers the whole domain, not
 	// merely the code range: with lo inside bucket 0 (or hi inside the top
 	// bucket) the boundary buckets still hold potential false positives,

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/ar"
+	"repro/internal/fixed"
 )
 
 // Query is the logical query model: a selection over a fact table written
@@ -243,7 +244,7 @@ func (e binExpr) Eval(ctx *exprCtx) []int64 {
 		}
 	case "mul":
 		for i := range out {
-			out[i] = av[i] * bv[i] / e.scale
+			out[i] = fixed.MulScaled(av[i], bv[i], e.scale)
 		}
 	}
 	return out
