@@ -430,7 +430,7 @@ func BenchmarkMorselScaling(b *testing.B) {
 			{Name: "mx", Func: plan.Max, Expr: plan.Col("v")},
 		},
 	}
-	want, err := c.ExecClassic(q, plan.ExecOpts{Threads: 1})
+	want, err := c.Exec(context.Background(), q, plan.ModeClassic, plan.ExecOpts{Threads: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func BenchmarkMorselScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			b.SetBytes(int64(n) * 8)
 			for i := 0; i < b.N; i++ {
-				res, err := c.ExecClassic(q, plan.ExecOpts{Threads: threads})
+				res, err := c.Exec(context.Background(), q, plan.ModeClassic, plan.ExecOpts{Threads: threads})
 				if err != nil {
 					b.Fatal(err)
 				}

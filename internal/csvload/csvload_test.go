@@ -1,6 +1,7 @@
 package csvload
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -101,10 +102,18 @@ func TestDictionaryOrderedAndPrefix(t *testing.T) {
 
 func TestLoadedTableQueryable(t *testing.T) {
 	c, _ := load(t)
-	if _, err := sql.Run(c, "select bwdecompose(price, 24) from items", plan.ExecOpts{}); err != nil {
+	b, err := sql.Compile(c, "select bwdecompose(price, 24) from items")
+	if err == nil {
+		_, err = sql.ExecWrite(context.Background(), c, b)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sql.Run(c, "select count(*) as n, sum(price) as total from items where price between 1.00 and 60.00", plan.ExecOpts{})
+	b, err = sql.Compile(c, "select count(*) as n, sum(price) as total from items where price between 1.00 and 60.00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Exec(context.Background(), b.Query, plan.ModeAR, plan.ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -232,11 +233,11 @@ func partCrashCuts(t *testing.T, seed int64) {
 				{Name: "s", Func: plan.Sum, Expr: plan.Col("k")},
 			},
 		}
-		ar, err := recovered.ExecAR(q, plan.ExecOpts{})
+		ar, err := recovered.Exec(context.Background(), q, plan.ModeAR, plan.ExecOpts{})
 		if err != nil {
 			t.Fatalf("cut at %d: AR: %v", cut, err)
 		}
-		cl, err := recovered.ExecClassic(q, plan.ExecOpts{})
+		cl, err := recovered.Exec(context.Background(), q, plan.ModeClassic, plan.ExecOpts{})
 		if err != nil {
 			t.Fatalf("cut at %d: classic: %v", cut, err)
 		}

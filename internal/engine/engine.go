@@ -315,63 +315,66 @@ func (e *Engine) Prepare(ctx context.Context, src string) (*Stmt, error) {
 
 // DescribePlan renders the physical pipeline the query would run —
 // chosen scan strategy, cost-ordered filters with estimated
-// selectivities and cardinalities, join chain, delta/top-k stages —
-// without executing it. Mode resolves exactly like execution routing:
-// auto asks the optimizer's cost model, and the costing rationale is
-// prepended so mispicks are visible in \explain.
+// selectivities and cardinalities, join chain or scatter legs,
+// delta/top-k stages — without executing it. It prepares the query
+// exactly as execution does, so in auto mode the costing rationale that
+// picked the executor leads the listing.
 func (e *Engine) DescribePlan(q plan.Query, mode Mode) ([]string, error) {
-	classic := mode == ModeClassic
-	var note string
-	if mode == ModeAuto {
-		choice := e.cat.ChooseMode(q)
-		classic = choice.Classic
-		note = "mode choice: " + choice.String() + " — auto; \\mode ar|classic forces an executor"
+	p, err := e.cat.Prepare(q, mode)
+	if err != nil {
+		return nil, err
 	}
-	lines, err := e.cat.ExplainQuery(q, classic)
-	if err != nil || note == "" {
-		return lines, err
-	}
-	return append([]string{note}, lines...), nil
+	return p.Describe(), nil
 }
 
 // DescribeStatement compiles a SELECT statement and renders its pipeline
 // (the shell's \explain). Write statements have no pipeline to describe.
 func (e *Engine) DescribeStatement(src string, mode Mode) ([]string, error) {
-	b, err := e.compile(src)
+	b, err := e.compileQuery(src, `\explain describes`)
 	if err != nil {
 		return nil, err
-	}
-	if b.IsWrite() {
-		return nil, fmt.Errorf("engine: \\explain describes queries; %q is a write statement", strings.Fields(src)[0])
 	}
 	return e.DescribePlan(b.Query, mode)
 }
 
-// AnalyzeStatement is \explain analyze: it compiles a SELECT, renders the
-// pipeline it will run, then actually executes it with tracing forced on —
-// through the normal scheduler path, so admission control, contention
+// AnalyzeStatement is \explain analyze: it compiles and prepares a SELECT,
+// renders the pipeline, then runs that same prepared query with tracing
+// forced on — through the scheduler, so admission control, contention
 // charging and session totals all apply — and appends the trace: per-stage
 // est-vs-actual rows, wall time and the simulated GPU/CPU/PCI split.
 func (e *Engine) AnalyzeStatement(ctx context.Context, sess *Session, src string) ([]string, error) {
+	b, err := e.compileQuery(src, `\explain analyze executes`)
+	if err != nil {
+		return nil, err
+	}
+	p, err := e.cat.Prepare(b.Query, sess.Mode())
+	if err != nil {
+		return nil, err
+	}
+	lines := p.Describe()
+	res, err := e.execTraced(ctx, sess, src, true, func(opts plan.ExecOpts) (*plan.Result, Route, error) {
+		return e.sched.ExecPrepared(ctx, p, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if res.Trace != nil {
+		lines = append(lines, res.Trace.Render()...)
+	}
+	return lines, nil
+}
+
+// compileQuery compiles src for a surface that only takes queries; what
+// names the surface in the error for a write statement.
+func (e *Engine) compileQuery(src, what string) (*sql.Binding, error) {
 	b, err := e.compile(src)
 	if err != nil {
 		return nil, err
 	}
 	if b.IsWrite() {
-		return nil, fmt.Errorf("engine: \\explain analyze executes queries; %q is a write statement", strings.Fields(src)[0])
+		return nil, fmt.Errorf("engine: %s queries; %q is a write statement", what, strings.Fields(src)[0])
 	}
-	lines, err := e.DescribePlan(b.Query, sess.Mode())
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.execTraced(ctx, sess, b, src, true)
-	if err != nil {
-		return nil, err
-	}
-	if res.Result != nil && res.Trace != nil {
-		lines = append(lines, res.Trace.Render()...)
-	}
-	return lines, nil
+	return b, nil
 }
 
 // compile resolves a statement through the plan cache, compiling and
@@ -536,17 +539,20 @@ func (e *Engine) mergeDue() {
 // totals. The scheduler already merged it into the engine-wide totals.
 // src is the statement text, carried for the slow-query log and traces.
 func (e *Engine) exec(ctx context.Context, sess *Session, b *sql.Binding, src string) (*Result, error) {
-	return e.execTraced(ctx, sess, b, src, false)
+	return e.execTraced(ctx, sess, src, false, func(opts plan.ExecOpts) (*plan.Result, Route, error) {
+		return e.sched.Exec(ctx, b, opts, sess.Mode())
+	})
 }
 
-// execTraced is exec with an explicit tracing decision: \explain analyze
-// forces a trace; otherwise tracing runs only while the slow-query log is
-// armed (tracing never perturbs results or meters, so arming it is safe on
-// live traffic — it only costs the clock reads).
-func (e *Engine) execTraced(ctx context.Context, sess *Session, b *sql.Binding, src string, forceTrace bool) (*Result, error) {
+// execTraced runs one scheduler execution with an explicit tracing
+// decision: \explain analyze forces a trace; otherwise tracing runs only
+// while the slow-query log is armed (tracing never perturbs results or
+// meters, so arming it is safe on live traffic — it only costs the clock
+// reads).
+func (e *Engine) execTraced(ctx context.Context, sess *Session, src string, forceTrace bool, run func(plan.ExecOpts) (*plan.Result, Route, error)) (*Result, error) {
 	opts := plan.ExecOpts{Threads: e.opts.Threads, Trace: forceTrace || e.metrics.slow.Enabled()}
 	start := time.Now()
-	res, route, err := e.sched.Exec(ctx, b, opts, sess.Mode())
+	res, route, err := run(opts)
 	wall := time.Since(start)
 	e.metrics.note(route, wall, err)
 	if err != nil {
@@ -625,8 +631,16 @@ func RenderResult(res *Result, showCost bool) []string {
 		}
 	}
 	if showCost && res.Result != nil && res.Meter != nil {
-		lines = append(lines, fmt.Sprintf("-- %s; simulated %v; candidates %d -> refined %d; approx count %v",
-			res.Route, res.Meter, res.Candidates, res.Refined, res.Approx.Count))
+		// Only a query has a candidate funnel, and only an A&R one a
+		// phase-A approximate count.
+		footer := fmt.Sprintf("-- %s; simulated %v", res.Route, res.Meter)
+		if res.Route != RouteDDL {
+			footer += fmt.Sprintf("; candidates %d -> refined %d", res.Candidates, res.Refined)
+		}
+		if res.Route == RouteAR {
+			footer += fmt.Sprintf("; approx count %v", res.Approx.Count)
+		}
+		lines = append(lines, footer)
 	}
 	return lines
 }

@@ -205,8 +205,16 @@ func TestMetaParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || !strings.HasPrefix(out[1], "-- classic; simulated") {
+	if len(out) != 2 || !strings.HasPrefix(out[1], "-- classic; simulated") || strings.Contains(out[1], "approx count") {
 		t.Fatalf("\\run with cost on: %v", out)
+	}
+	// A write's cost line carries no candidate funnel.
+	res, err := sess.Query(ctx, "select bwdecompose(lon, 24) from trips")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := RenderResult(res, sess.Cost()); len(out) != 2 || !strings.HasPrefix(out[1], "-- ddl; simulated") || strings.Contains(out[1], "candidates") {
+		t.Fatalf("ddl with cost on: %v", out)
 	}
 	// \stats goes through the engine renderer.
 	out, _, _, err = sess.Meta(ctx, `\stats`)

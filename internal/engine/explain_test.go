@@ -2,6 +2,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -162,5 +165,74 @@ func TestPlanCacheMultiJoinDeps(t *testing.T) {
 	}
 	if got := eng.Cache().Stats().Invalidations; got <= inval {
 		t.Fatalf("second-dimension schema change did not invalidate the cached plan (invalidations %d -> %d)", inval, got)
+	}
+}
+
+// TestExplainPartitionedEmptyLegs checks \explain and \explain analyze on a
+// range-partitioned table whose data sits in only two of its four
+// partitions: the empty legs cannot run A&R (nothing to decompose), yet the
+// query runs, so its plan must render too — under a forced \mode ar and
+// under auto — and every leg's rendered scan mode must be the mode its
+// scatter leg actually ran with.
+func TestExplainPartitionedEmptyLegs(t *testing.T) {
+	eng := New(plan.NewCatalog(device.PaperSystem()), Options{})
+	sess := eng.Session()
+	defer sess.Close()
+	ctx := context.Background()
+	// Four range slabs split the int64 domain: p2 holds [0, 2^62), p3
+	// holds [2^62, MaxInt64]; p0 and p1 stay empty.
+	var vals []string
+	for i := 0; i < 40; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d)", i, i), fmt.Sprintf("(%d, %d)", int64(1)<<62+int64(i), i))
+	}
+	for _, stmt := range []string{
+		"create table ps (k int, v int) partition by range(k) partitions 4",
+		"insert into ps values " + strings.Join(vals, ", "),
+		"select bwdecompose(k, 8), bwdecompose(v, 8) from ps",
+	} {
+		if _, err := sess.Query(ctx, stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	const q = "select count(*) from ps where v <= 20"
+	legMode := regexp.MustCompile(`partition (\d+): mode=(\w+)`)
+	ranMode := regexp.MustCompile(`scatter\(ps\.p(\d+), mode=(\w+)\)`)
+	modes := func(re *regexp.Regexp, lines []string) map[string]string {
+		out := map[string]string{}
+		for _, l := range lines {
+			if m := re.FindStringSubmatch(l); m != nil {
+				out[m[1]] = m[2]
+			}
+		}
+		return out
+	}
+	for _, mode := range []string{"ar", "auto"} {
+		if _, _, _, err := sess.Meta(ctx, `\mode `+mode); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("mode %s: %v", mode, err)
+		}
+		if got := res.Rows[0].Vals[0]; got != 42 {
+			t.Fatalf("mode %s: count %d, want 42", mode, got)
+		}
+		described, _, _, err := sess.Meta(ctx, `\explain `+q)
+		if err != nil {
+			t.Fatalf("mode %s: \\explain: %v", mode, err)
+		}
+		analyzed, _, _, err := sess.Meta(ctx, `\explain analyze `+q)
+		if err != nil {
+			t.Fatalf("mode %s: \\explain analyze: %v", mode, err)
+		}
+		ran := modes(ranMode, analyzed)
+		if len(ran) != 4 {
+			t.Fatalf("mode %s: trace shows %d scatter legs, want 4:\n%s", mode, len(ran), strings.Join(analyzed, "\n"))
+		}
+		for _, lines := range [][]string{described, analyzed} {
+			if got := modes(legMode, lines); !reflect.DeepEqual(got, ran) {
+				t.Errorf("mode %s: described leg modes %v, ran %v:\n%s", mode, got, ran, strings.Join(lines, "\n"))
+			}
+		}
 	}
 }

@@ -35,30 +35,18 @@ func (r Route) String() string {
 	}
 }
 
-// Mode is a session's executor preference.
-type Mode int
+// Mode is a session's executor preference: plan.Mode under the name the
+// front-ends use. Auto is the default and lets the optimizer's cost model
+// pick the executor per query on the snapshot it runs; ar/classic are
+// forced overrides for operators and tests that need a specific executor.
+type Mode = plan.Mode
 
-// Modes. Auto is the default and lets the optimizer's cost model pick the
-// executor per query (plan.Catalog.ChooseMode); ar/classic are forced
-// overrides for operators and tests that need a specific executor.
+// Modes.
 const (
-	ModeAuto    Mode = iota // cost-based per-query choice from statistics
-	ModeAR                  // force the A&R executor (errors if not decomposed)
-	ModeClassic             // force the classic executor
+	ModeAuto    = plan.ModeAuto
+	ModeAR      = plan.ModeAR
+	ModeClassic = plan.ModeClassic
 )
-
-func (m Mode) String() string {
-	switch m {
-	case ModeAuto:
-		return "auto"
-	case ModeAR:
-		return "ar"
-	case ModeClassic:
-		return "classic"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
 
 // ParseMode parses a mode from its text form.
 func ParseMode(name string) (Mode, error) {
@@ -221,50 +209,59 @@ func (s *Scheduler) releaseWorkersLocked(granted int) {
 }
 
 // Exec routes one compiled binding to its device and executes it under
-// ctx. The returned result's meter already includes the memory-wall
-// contention charge for classic plans. A cancelled ctx surfaces as
-// ctx.Err(), whether the query was still waiting for a slot or already
-// mid-execution.
+// ctx. Write statements execute inline; a query is prepared under mode
+// (validated and pinned once, executor chosen on that snapshot) and run
+// through ExecPrepared. An EXPLAIN statement returns only the plan
+// listing. A cancelled ctx surfaces as ctx.Err(), whether the query was
+// still waiting for a slot or already mid-execution.
 func (s *Scheduler) Exec(ctx context.Context, b *sql.Binding, opts plan.ExecOpts, mode Mode) (*plan.Result, Route, error) {
 	if err := ctx.Err(); err != nil {
 		s.noteCancelled()
 		return nil, RouteClassic, err
 	}
-	// Scatter-gather executions over partitioned tables admission-control
-	// their per-partition device streams through the scheduler's ledger.
-	opts.Gate = s
-	switch {
-	case b.IsWrite():
+	if b.IsWrite() {
 		// bwdecompose and DML (INSERT/DELETE/CREATE TABLE) execute inline:
 		// the store's snapshot publication makes the swap safe against
 		// in-flight queries, and write latency is dominated by the store
 		// itself, not device contention.
-		return s.execDDL(ctx, b, opts)
-	case mode == ModeClassic:
-		return s.execClassic(ctx, b, opts)
-	case mode == ModeAR:
-		// No pre-validation: ExecAR validates as it builds its
-		// decomposition snapshot and surfaces the same precise error.
-		return s.execAR(ctx, b, opts)
-	default:
-		// Auto mode: the optimizer prices both executors against the
-		// statistics provider and picks the cheaper one — the session
-		// \mode knob above is only a forced override. Scatter legs
-		// re-price per partition (opts.AutoMode).
-		opts.AutoMode = true
-		choice := s.cat.ChooseMode(b.Query)
-		s.notePick(choice.Classic)
-		if choice.Classic {
-			return s.execClassic(ctx, b, opts)
-		}
-		res, route, err := s.execAR(ctx, b, opts)
-		if errors.Is(err, ErrOverloaded) {
-			// Auto mode degrades gracefully: an overloaded GPU stream spills
-			// the query to the CPU pool instead of failing the client.
-			return s.execClassic(ctx, b, opts)
-		}
-		return res, route, err
+		return s.execDDL(ctx, b)
 	}
+	p, err := s.cat.Prepare(b.Query, mode)
+	if err != nil {
+		route := RouteClassic
+		if mode == ModeAR {
+			route = RouteAR
+		}
+		return nil, route, err
+	}
+	res, route, err := s.ExecPrepared(ctx, p, opts)
+	if err == nil && b.Explain {
+		res = &plan.Result{Plan: res.Plan, Meter: res.Meter}
+	}
+	return res, route, err
+}
+
+// ExecPrepared admits a prepared query on its strategy — classic plans on
+// the CPU pool, A&R plans on the GPU stream — and runs it. The returned
+// result's meter already includes the memory-wall contention charge for
+// classic plans. In auto mode an overloaded GPU stream spills the query
+// to the CPU pool, reassembled classic on the snapshot it already pinned,
+// instead of failing the client.
+func (s *Scheduler) ExecPrepared(ctx context.Context, p *plan.Prepared, opts plan.ExecOpts) (*plan.Result, Route, error) {
+	// Scatter-gather executions over partitioned tables admission-control
+	// their per-partition device streams through the scheduler's ledger.
+	opts.Gate = s
+	if p.Mode == ModeAuto {
+		s.notePick(p.Classic())
+	}
+	if p.Classic() {
+		return s.execClassic(ctx, p, opts)
+	}
+	res, route, err := s.execAR(ctx, p, opts)
+	if p.Mode == ModeAuto && errors.Is(err, ErrOverloaded) {
+		return s.execClassic(ctx, p.AsClassic(), opts)
+	}
+	return res, route, err
 }
 
 // notePick counts one auto-mode cost decision for the metrics registry.
@@ -278,8 +275,8 @@ func (s *Scheduler) notePick(classic bool) {
 	s.mu.Unlock()
 }
 
-func (s *Scheduler) execDDL(ctx context.Context, b *sql.Binding, opts plan.ExecOpts) (*plan.Result, Route, error) {
-	res, err := sql.ExecCtx(ctx, s.cat, b, opts, false)
+func (s *Scheduler) execDDL(ctx context.Context, b *sql.Binding) (*plan.Result, Route, error) {
+	res, err := sql.ExecWrite(ctx, s.cat, b)
 	if err != nil {
 		s.noteCtxErr(err)
 		return nil, RouteDDL, err
@@ -295,7 +292,7 @@ func (s *Scheduler) execDDL(ctx context.Context, b *sql.Binding, opts plan.ExecO
 	return res, RouteDDL, nil
 }
 
-func (s *Scheduler) execClassic(ctx context.Context, b *sql.Binding, opts plan.ExecOpts) (*plan.Result, Route, error) {
+func (s *Scheduler) execClassic(ctx context.Context, p *plan.Prepared, opts plan.ExecOpts) (*plan.Result, Route, error) {
 	select {
 	case s.cpuSlots <- struct{}{}:
 	case <-ctx.Done():
@@ -325,7 +322,7 @@ func (s *Scheduler) execClassic(ctx context.Context, b *sql.Binding, opts plan.E
 		s.mu.Unlock()
 	}()
 
-	res, err := sql.ExecCtx(ctx, s.cat, b, opts, true)
+	res, err := p.Run(ctx, opts)
 	if err != nil {
 		s.noteCtxErr(err)
 		return nil, RouteClassic, err
@@ -338,7 +335,7 @@ func (s *Scheduler) execClassic(ctx context.Context, b *sql.Binding, opts plan.E
 	return res, RouteClassic, nil
 }
 
-func (s *Scheduler) execAR(ctx context.Context, b *sql.Binding, opts plan.ExecOpts) (*plan.Result, Route, error) {
+func (s *Scheduler) execAR(ctx context.Context, p *plan.Prepared, opts plan.ExecOpts) (*plan.Result, Route, error) {
 	// Admission control: bound the wait queue, fail fast beyond it.
 	s.mu.Lock()
 	if s.waitingAR >= s.arQueue {
@@ -390,7 +387,7 @@ func (s *Scheduler) execAR(ctx context.Context, b *sql.Binding, opts plan.ExecOp
 		<-s.gpuSlots
 	}()
 
-	res, err := sql.ExecCtx(ctx, s.cat, b, opts, false)
+	res, err := p.Run(ctx, opts)
 	if err != nil {
 		s.noteCtxErr(err)
 		return nil, RouteAR, err

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -57,7 +58,7 @@ func TestMinApproxFig6Trap(t *testing.T) {
 		Filters: []Filter{{Col: "a", Lo: 7, Hi: 999980}},
 		Aggs:    []AggSpec{{Name: "mn", Func: Min, Expr: Col("a")}, {Name: "mx", Func: Max, Expr: Col("a")}},
 	}
-	res, err := c.ExecAR(q, ExecOpts{})
+	res, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestAvgApproxNegativeSum(t *testing.T) {
 			Filters: []Filter{{Col: "a", Lo: lo, Hi: lo + 300000}},
 			Aggs:    []AggSpec{{Name: "av", Func: Avg, Expr: Col("a")}},
 		}
-		res, err := c.ExecAR(q, ExecOpts{})
+		res, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

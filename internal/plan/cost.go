@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/device"
-	"repro/internal/shard"
 	"repro/internal/stats"
 )
 
@@ -35,44 +34,6 @@ func (m ModeChoice) String() string {
 		mode = "classic"
 	}
 	return fmt.Sprintf("%s (%s)", mode, m.Reason)
-}
-
-// ChooseMode prices the two scan strategies for a query in auto mode. A
-// query that cannot run as A&R (undecomposed column, unmergeable shape) is
-// classic by necessity; otherwise the estimated candidate-set size is
-// weighed against the transfer cost. Partitioned tables price every leg
-// against its own partition statistics: the scatter runs under the device
-// gate if any leg favors A&R.
-func (c *Catalog) ChooseMode(q Query) ModeChoice {
-	if p, ok := c.Partitioned(q.Table); ok {
-		var est int64
-		ar := 0
-		for i := range p.Parts {
-			qi := q
-			qi.Table = shard.PartName(p.Name, i)
-			snap, err := qi.validate(c)
-			if err != nil {
-				continue // this leg scans classic (e.g. empty partition)
-			}
-			ch := chooseSnap(c.sys, &qi, snap)
-			if !ch.Classic {
-				ar++
-				est += ch.EstCandidates
-			}
-		}
-		if ar == 0 {
-			return ModeChoice{Classic: true, EstCandidates: -1,
-				Reason: "no partition leg favors a&r"}
-		}
-		return ModeChoice{EstCandidates: est,
-			Reason: fmt.Sprintf("%d of %d partition legs favor a&r", ar, p.Spec.N)}
-	}
-	snap, err := q.validate(c)
-	if err != nil {
-		return ModeChoice{Classic: true, EstCandidates: -1,
-			Reason: "a&r unavailable: " + err.Error()}
-	}
-	return chooseSnap(c.sys, &q, snap)
 }
 
 // estFactFrac multiplies the fact-side predicate selectivities from the

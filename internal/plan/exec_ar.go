@@ -44,12 +44,6 @@ type ExecOpts struct {
 	// per-device ledger). Unpartitioned executions never consult it, and it
 	// never affects results or simulated figures — only real concurrency.
 	Gate DeviceGate
-	// AutoMode marks an execution whose scan strategy was chosen by the
-	// cost model rather than forced with \mode. Scatter-gather executions
-	// use it to re-choose classic vs A&R per partition leg from each leg's
-	// own statistics; it never affects results, only which (byte-identical)
-	// executor produces them.
-	AutoMode bool
 }
 
 func (o ExecOpts) threads() int {
@@ -73,37 +67,6 @@ func (o ExecOpts) workers() int {
 // granularity so cancellation latency is bounded by one morsel.
 func (o ExecOpts) par(ctx context.Context) par.P {
 	return par.P{Threads: o.threads(), Workers: o.workers(), Chunk: o.Morsel, Ctx: ctx}
-}
-
-// ExecAR executes the query under the Approximate & Refine paradigm with a
-// background context; see ExecARCtx.
-func (c *Catalog) ExecAR(q Query, opts ExecOpts) (*Result, error) {
-	return c.ExecARCtx(context.Background(), q, opts)
-}
-
-// ExecARCtx executes the query under the Approximate & Refine paradigm:
-// it validates the query (pinning one store snapshot per touched table),
-// assembles the operator pipeline with the A&R scan strategy, and runs it.
-// The approximation subplan runs entirely on the simulated device first
-// (its intermediate results never leave device memory), the candidate set
-// and device-side projections are shipped across the bus once, and the
-// refinement subplan discharges false positives and reconstructs exact
-// values on the CPU. The returned Result carries the exact rows, the
-// phase-A approximate answer, and the simulated GPU/CPU/PCI breakdown.
-//
-// Cancellation is cooperative: the pipeline polls ctx between stages
-// (each approximate operator, the bus crossing, the delta scan, each
-// refinement batch, the final aggregation) and returns ctx.Err() without
-// a result once the context is done.
-func (c *Catalog) ExecARCtx(ctx context.Context, q Query, opts ExecOpts) (*Result, error) {
-	if p, ok := c.Partitioned(q.Table); ok {
-		return c.execScatter(ctx, q, opts, p, false)
-	}
-	snap, err := q.validate(c)
-	if err != nil {
-		return nil, err
-	}
-	return buildPipeline(q, snap, false).run(ctx, c.sys, opts)
 }
 
 // arJoinRT is the runtime state of one FK-probe stage in the A&R scan:

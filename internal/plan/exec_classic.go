@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/bat"
@@ -9,32 +8,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/par"
 )
-
-// ExecClassic executes the query with the classic bulk-processing model
-// with a background context; see ExecClassicCtx.
-func (c *Catalog) ExecClassic(q Query, opts ExecOpts) (*Result, error) {
-	return c.ExecClassicCtx(context.Background(), q, opts)
-}
-
-// ExecClassicCtx executes the query with the classic bulk-processing model
-// on the CPU only — the paper's "MonetDB" baseline. It validates the
-// query (pinning one store snapshot per touched table), assembles the
-// operator pipeline with the classic scan strategy, and runs it.
-// Operators are the fully-materializing tight loops of package bulk; no
-// device or bus time is ever charged.
-//
-// Cancellation is cooperative: the pipeline polls ctx between bulk passes
-// and returns ctx.Err() without a result once the context is done.
-func (c *Catalog) ExecClassicCtx(ctx context.Context, q Query, opts ExecOpts) (*Result, error) {
-	if p, ok := c.Partitioned(q.Table); ok {
-		return c.execScatter(ctx, q, opts, p, true)
-	}
-	snap, err := q.validateClassic(c)
-	if err != nil {
-		return nil, err
-	}
-	return buildPipeline(q, snap, true).run(ctx, c.sys, opts)
-}
 
 // scanClassic is the classic scan strategy: MonetDB-style uselect chains
 // over the row-major base segment, one bitmap pass for deletions, the
@@ -249,6 +222,12 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			ectx.vals[ref] = bulk.Fetch(pp, m, fb, ids)
 		}
 		st.traceRows(ectx.n, "algebra.leftjoin(%s)", ref.Name)
+	}
+	// The position lists are dead once every referenced column is
+	// materialized.
+	bat.OIDPool.Put(ids)
+	for _, pos := range joinPos {
+		bat.OIDPool.Put(pos)
 	}
 
 	return &scanOut{ectx: ectx, dset: dset}, nil

@@ -99,27 +99,19 @@ func (c *Catalog) anyPartAR(q Query, p *shard.Partitioned) bool {
 	for i := 0; i < p.Spec.N; i++ {
 		qi := q
 		qi.Table = shard.PartName(p.Name, i)
-		if _, err := qi.validate(c); err == nil {
+		if _, arErr, err := qi.resolve(c); err == nil && arErr == nil {
 			return true
 		}
 	}
 	return false
 }
 
-// execScatter executes a query over a partitioned table: scatter one scan
-// per partition, gather the partials, run the shared tail once.
-func (c *Catalog) execScatter(ctx context.Context, q Query, opts ExecOpts, p *shard.Partitioned, classic bool) (*Result, error) {
-	n := p.Spec.N
+// runScatter executes a prepared scatter: one scan per surviving leg, run
+// concurrently, then the partials gathered into the shared tail once.
+func (p *Prepared) runScatter(ctx context.Context, opts ExecOpts) (*Result, error) {
+	c, q, n, parts := p.cat, p.q, p.part.Spec.N, p.parts
 	scanCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	// Prune partitions whose range slabs the filters exclude; at least one
-	// leg always survives so the executor shape (and an all-pruned query's
-	// empty result) stays uniform.
-	parts := prunePartitions(q, p.Spec)
-	if len(parts) == 0 {
-		parts = []int{0}
-	}
 	if pruned := n - len(parts); pruned > 0 {
 		c.prunedParts.Add(int64(pruned))
 	}
@@ -135,63 +127,12 @@ func (c *Catalog) execScatter(ctx context.Context, q Query, opts ExecOpts, p *sh
 	scans := make([]*partScan, len(parts))
 	qs := make([]Query, len(parts))
 	snaps := make([]*execSnap, len(parts))
-	var firstARErr error
-	arCapable := 0
-	for li, i := range parts {
-		qi := q
-		qi.Table = shard.PartName(p.Name, i)
-		qs[li] = qi
-		var pl *pipeline
-		if classic {
-			snap, err := qi.validateClassic(c)
-			if err != nil {
-				return nil, err
-			}
-			pl = buildPipeline(qi, snap, true)
-		} else if snap, err := qi.validate(c); err == nil {
-			arCapable++
-			// Under a cost-chosen mode the scan strategy is re-chosen per
-			// leg from the leg's own statistics: a partition the model
-			// prices cheaper classically scans classically, and the shared
-			// tail merges its (byte-identical) partial like any other.
-			if opts.AutoMode && chooseSnap(c.sys, &qi, snap).Classic {
-				if snapC, cerr := qi.validateClassic(c); cerr == nil {
-					pl = buildPipeline(qi, snapC, true)
-				} else {
-					pl = buildPipeline(qi, snap, false)
-				}
-			} else {
-				pl = buildPipeline(qi, snap, false)
-			}
-		} else {
-			// The scan mode is a per-partition choice: a partition that
-			// cannot run A&R scans classically and the shared tail merges it
-			// like any other partial.
-			if firstARErr == nil {
-				firstARErr = err
-			}
-			snap, cerr := qi.validateClassic(c)
-			if cerr != nil {
-				return nil, err
-			}
-			pl = buildPipeline(qi, snap, true)
-		}
-		// The gather tail groups on the host where every partition's base
-		// and delta tuples meet, so partition scans never pre-group on the
-		// device.
-		pl.noDevGroup = true
-		snaps[li] = pl.snap
+	for li, pl := range p.legs {
+		qs[li], snaps[li] = pl.q, pl.snap
 		mi := device.NewMeter(c.sys)
 		sti := &pipeState{ctx: scanCtx, opts: partOpts, pp: partOpts.par(scanCtx), m: mi, res: &Result{Meter: mi}, estCand: -1}
 		sti.estReset(pl)
 		scans[li] = &partScan{pl: pl, st: sti}
-	}
-	if !classic && arCapable == 0 && !c.anyPartAR(q, p) {
-		// No partition can run A&R: the query cannot either. Capability is
-		// judged over the whole table — pruning must not turn a runnable
-		// query into an error just because only classic-capable (e.g.
-		// empty, undecomposed) partitions survived it.
-		return nil, firstARErr
 	}
 
 	var wg sync.WaitGroup
@@ -210,13 +151,7 @@ func (c *Catalog) execScatter(ctx context.Context, q Query, opts ExecOpts, p *sh
 				}
 				defer release()
 			}
-			var out *scanOut
-			var err error
-			if ps.pl.classic {
-				out, err = ps.pl.scanClassic(ps.st)
-			} else {
-				out, err = ps.pl.scanAR(ps.st)
-			}
+			out, err := ps.pl.scan(ps.st)
 			if err == nil {
 				// A cancellation mid-kernel leaves the scan incomplete;
 				// never gather a partial partition.
@@ -259,17 +194,13 @@ func (c *Catalog) execScatter(ctx context.Context, q Query, opts ExecOpts, p *sh
 	st := &pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: &Result{Meter: m}, estCand: -1}
 	st.res.InputBytes = scatterInputBytes(qs, snaps)
 	if opts.Trace {
-		mode := "ar"
-		if classic {
-			mode = "classic"
-		}
-		st.tr = &obs.Trace{Mode: mode, Threads: opts.threads(), Workers: opts.workers(), Start: time.Now()}
+		st.tr = &obs.Trace{Mode: modeName(p.classic), Threads: opts.threads(), Workers: opts.workers(), Start: time.Now()}
 		st.mark = st.tr.Start
 		st.res.Trace = st.tr
 	}
-	st.res.Plan = append(st.res.Plan, fmt.Sprintf("scatter: %s over %d partitions (%s)", q.Table, n, p.Spec))
+	st.res.Plan = append(st.res.Plan, fmt.Sprintf("scatter: %s over %d partitions (%s)", q.Table, n, p.part.Spec))
 	if pruned := n - len(parts); pruned > 0 {
-		st.res.Plan = append(st.res.Plan, fmt.Sprintf("  pruned: %d of %d partitions (filters on %s exclude their slabs)", pruned, n, p.Spec.Col))
+		st.res.Plan = append(st.res.Plan, fmt.Sprintf("  pruned: %d of %d partitions (filters on %s exclude their slabs)", pruned, n, p.part.Spec.Col))
 	}
 
 	answers := make([]ApproxAnswer, len(scans))
@@ -290,9 +221,8 @@ func (c *Catalog) execScatter(ctx context.Context, q Query, opts ExecOpts, p *sh
 		} else {
 			estSum += ps.st.estCand
 		}
-		mode := "ar"
+		mode := modeName(ps.pl.classic)
 		if ps.pl.classic {
-			mode = "classic"
 			// A classic leg's partial is exact, so a mixed-mode scatter
 			// still reports strict phase-A bounds.
 			answers[li] = exactAnswer(q, out.ectx)
@@ -320,7 +250,7 @@ func (c *Catalog) execScatter(ctx context.Context, q Query, opts ExecOpts, p *sh
 	if estKnown {
 		st.estCand = estSum
 	}
-	if !classic {
+	if !p.classic {
 		st.res.Approx = combineAnswers(q, answers)
 	}
 
@@ -346,7 +276,7 @@ func (c *Catalog) execScatter(ctx context.Context, q Query, opts ExecOpts, p *sh
 	}
 	st.traceRows(merged.n, "gather(%s, %d partitions)", q.Table, len(scans))
 
-	tail := &pipeline{q: q, snap: snaps[0], classic: classic, noDevGroup: true}
+	tail := &pipeline{q: q, snap: snaps[0], classic: p.classic, noDevGroup: true}
 	if err := tail.finish(st, &scanOut{ectx: merged}); err != nil {
 		return nil, err
 	}
@@ -503,44 +433,24 @@ func combineExtreme(f AggFunc, answers []ApproxAnswer, k int) ar.Interval {
 	return extremeBounds(f, ivs, func(i int) bool { return certain[i] })
 }
 
-// explainScatter renders a partitioned query plan without executing it: the
-// scatter fan-out with per-partition estimated output rows (live base rows
-// times the product of the estimated filter selectivities, when every
-// touched filter has an estimate), the gather stage, and partition 0's
-// pipeline of the first surviving partition as the representative
-// per-partition plan. Pruned partitions are listed, not described.
-func (c *Catalog) explainScatter(q Query, classic bool, p *shard.Partitioned) ([]string, error) {
-	var out []string
-	out = append(out, fmt.Sprintf("scatter: %s over %d partitions (%s)", q.Table, p.Spec.N, p.Spec))
-	parts := prunePartitions(q, p.Spec)
-	if len(parts) == 0 {
-		parts = []int{0} // the executor keeps one leg for an all-pruned query
-	}
-	kept := map[int]bool{}
-	for _, i := range parts {
-		kept[i] = true
-	}
-	var rep []string
-	for i := 0; i < p.Spec.N; i++ {
-		qi := q
-		qi.Table = shard.PartName(p.Name, i)
-		if !kept[i] {
-			out = append(out, fmt.Sprintf("  partition %d: %s, pruned (filters on %s exclude its slab)", i, qi.Table, p.Spec.Col))
+// describeScatter renders a prepared scatter without executing it: the
+// fan-out with each surviving leg's scan mode and estimated output rows
+// (live rows times the product of the estimated filter selectivities, when
+// every touched filter has an estimate), the gather stage, and the first
+// surviving leg's pipeline as the representative per-partition plan.
+// Pruned partitions are listed, not described.
+func (p *Prepared) describeScatter() []string {
+	spec := p.part.Spec
+	out := []string{fmt.Sprintf("scatter: %s over %d partitions (%s)", p.q.Table, spec.N, spec)}
+	li := 0
+	for i := 0; i < spec.N; i++ {
+		if li == len(p.parts) || p.parts[li] != i {
+			out = append(out, fmt.Sprintf("  partition %d: %s, pruned (filters on %s exclude its slab)", i, shard.PartName(p.part.Name, i), spec.Col))
 			continue
 		}
-		var snap *execSnap
-		var err error
-		if classic {
-			snap, err = qi.validateClassic(c)
-		} else {
-			snap, err = qi.validate(c)
-		}
-		if err != nil {
-			return nil, err
-		}
-		pl := buildPipeline(qi, snap, classic)
-		pl.noDevGroup = true
-		live := snap.fact.LiveBase() + snap.fact.LiveDelta()
+		pl := p.legs[li]
+		li++
+		live := pl.snap.fact.LiveBase() + pl.snap.fact.LiveDelta()
 		est := float64(live)
 		known := true
 		fold := func(sel float64) {
@@ -562,19 +472,16 @@ func (c *Catalog) explainScatter(q Query, classic bool, p *shard.Partitioned) ([
 				fold(rf.estSel())
 			}
 		}
-		line := fmt.Sprintf("  partition %d: %s, %d live rows", i, qi.Table, live)
+		line := fmt.Sprintf("  partition %d: mode=%s, %s, %d live rows", i, modeName(pl.classic), pl.q.Table, live)
 		if known {
 			line += fmt.Sprintf(", est ~%d rows out", int64(est+0.5))
 		}
 		out = append(out, line)
-		if rep == nil {
-			rep = pl.describe()
-		}
 	}
-	out = append(out, fmt.Sprintf("  gather: concatenate partials in partition order, shared tail (group/aggregate/having/order) over %s", q.Table))
-	out = append(out, fmt.Sprintf("per-partition plan (partition %d shown):", parts[0]))
-	for _, line := range rep {
+	out = append(out, fmt.Sprintf("  gather: concatenate partials in partition order, shared tail (group/aggregate/having/order) over %s", p.q.Table))
+	out = append(out, fmt.Sprintf("per-partition plan (partition %d shown):", p.parts[0]))
+	for _, line := range p.legs[0].describe() {
 		out = append(out, "  "+line)
 	}
-	return out, nil
+	return out
 }

@@ -210,11 +210,11 @@ func (s *execSnap) snapFor(table string) *store.Snapshot {
 	return s.fact
 }
 
-// pinSnapshots resolves and pins the table versions the query reads,
-// without requiring decompositions (the classic executor's half of
-// validate). Joins require the dimension side to be delta-free: the FK
-// index and the join positions address the dimension base segment, so
-// freshly inserted dimension rows must be merged before they are joinable.
+// pinSnapshots resolves and pins the table versions the query reads
+// (resolve's first half). Joins require the dimension side to be
+// delta-free: the FK index and the join positions address the dimension
+// base segment, so freshly inserted dimension rows must be merged before
+// they are joinable.
 func (q *Query) pinSnapshots(c *Catalog) (*execSnap, error) {
 	fact, err := c.Table(q.Table)
 	if err != nil {
@@ -350,76 +350,50 @@ func (q *Query) joinsDim(dim string) bool {
 	return false
 }
 
-// validate checks that the query references only known tables/columns and
-// that every column an A&R plan touches is decomposed, returning the
-// pinned snapshots and resolved decompositions as the execution's
-// snapshot. One walk does both, so validation and snapshot can never cover
-// different column sets.
-func (q *Query) validate(c *Catalog) (*execSnap, error) {
+// resolve is the one validation walk both executors share. It checks the
+// query's shape and references, pins one snapshot per touched table, and
+// records the decomposition of every referenced column that has one (the
+// A&R scan reads them; the estimator reads their histograms under either
+// executor). err is fatal for every executor: an unknown table or column,
+// a bad shape, an unjoinable dimension. arErr, when set, is why A&R cannot
+// run the query — a column without a decomposition, or no fact-side
+// column to scan — which auto mode treats as classic by necessity.
+func (q *Query) resolve(c *Catalog) (snap *execSnap, arErr, err error) {
 	if err := q.checkShape(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	snap, err := q.pinSnapshots(c)
+	snap, err = q.pinSnapshots(c)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	add := func(table, col string) error {
+	err = q.walkCols(func(table, col string) error {
 		key := table + "." + col
 		if _, done := snap.decs[key]; done {
 			return nil
 		}
-		d := snap.snapFor(table).Dec(col)
-		if d == nil {
-			// Distinguish unknown columns from undecomposed ones.
-			if _, cerr := snap.snapFor(table).Column(col); cerr != nil {
-				return fmt.Errorf("plan: unknown column %s.%s", table, col)
-			}
-			return fmt.Errorf("plan: column %s.%s is not bitwise decomposed; call Decompose first", table, col)
+		ts := snap.snapFor(table)
+		if d := ts.Dec(col); d != nil {
+			snap.decs[key] = d
+			return nil
 		}
-		snap.decs[key] = d
+		if _, cerr := ts.Column(col); cerr != nil {
+			return fmt.Errorf("plan: unknown column %s.%s", table, col)
+		}
+		if arErr == nil {
+			arErr = fmt.Errorf("plan: column %s.%s is not bitwise decomposed; call Decompose first", table, col)
+		}
 		return nil
-	}
-	if err := q.walkCols(add); err != nil {
-		return nil, err
-	}
-	if len(q.Filters) == 0 && len(q.Or) == 0 {
-		// The approximation subplan needs a fact-side column to scan.
-		// Rejecting here, before any execution, lets auto-mode routing
-		// fall back to classic.
-		if _, ok := q.anchorColumn(); !ok {
-			return nil, fmt.Errorf("plan: A&R plan needs a fact-side column to scan (add a filter, grouping, or fact-column aggregate)")
-		}
-	}
-	return snap, nil
-}
-
-// validateClassic checks table/column references and pins the snapshots
-// without requiring decompositions.
-func (q *Query) validateClassic(c *Catalog) (*execSnap, error) {
-	if err := q.checkShape(); err != nil {
-		return nil, err
-	}
-	snap, err := q.pinSnapshots(c)
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	check := func(table, col string) error {
-		if _, err := snap.snapFor(table).Column(col); err != nil {
-			return err
+	if arErr == nil && len(q.Filters) == 0 && len(q.Or) == 0 {
+		// The approximation subplan needs a fact-side column to scan.
+		if _, ok := q.anchorColumn(); !ok {
+			arErr = fmt.Errorf("plan: A&R plan needs a fact-side column to scan (add a filter, grouping, or fact-column aggregate)")
 		}
-		// Record decompositions that happen to exist: classic execution
-		// never needs them, but the estimator reads histograms off them so
-		// classic plans print real estimates instead of est=n/a wherever
-		// statistics are available.
-		if d := snap.snapFor(table).Dec(col); d != nil {
-			snap.decs[table+"."+col] = d
-		}
-		return nil
 	}
-	if err := q.walkCols(check); err != nil {
-		return nil, err
-	}
-	return snap, nil
+	return snap, arErr, nil
 }
 
 // anchorColumn picks the column whose approximation the full-table scan

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -124,11 +125,11 @@ func TestPropPartitionEquivalence(t *testing.T) {
 				}
 				for qi, q := range propQueries(rng) {
 					serial := ExecOpts{Threads: 1, Workers: 1}
-					refAR, err := variants[0].cat.ExecAR(q, serial)
+					refAR, err := variants[0].cat.Exec(context.Background(), q, ModeAR, serial)
 					if err != nil {
 						t.Fatalf("step %d query %d plain AR: %v", step, qi, err)
 					}
-					refCl, err := variants[0].cat.ExecClassic(q, serial)
+					refCl, err := variants[0].cat.Exec(context.Background(), q, ModeClassic, serial)
 					if err != nil {
 						t.Fatalf("step %d query %d plain classic: %v", step, qi, err)
 					}
@@ -137,11 +138,11 @@ func TestPropPartitionEquivalence(t *testing.T) {
 					}
 					checkApproxAggs(t, fmt.Sprintf("step %d query %d plain", step, qi), q, refAR)
 					for _, v := range variants[1:] {
-						ar, err := v.cat.ExecAR(q, serial)
+						ar, err := v.cat.Exec(context.Background(), q, ModeAR, serial)
 						if err != nil {
 							t.Fatalf("step %d query %d %s AR: %v", step, qi, v.label, err)
 						}
-						cl, err := v.cat.ExecClassic(q, serial)
+						cl, err := v.cat.Exec(context.Background(), q, ModeClassic, serial)
 						if err != nil {
 							t.Fatalf("step %d query %d %s classic: %v", step, qi, v.label, err)
 						}
@@ -161,7 +162,7 @@ func TestPropPartitionEquivalence(t *testing.T) {
 						// Worker/morsel sweep at this fixed partition count:
 						// byte-stable rows, bit-identical meter.
 						opts := ExecOpts{Threads: 1, Workers: 2 + rng.Intn(6), Morsel: []int{64, 512, 0}[rng.Intn(3)]}
-						arp, err := v.cat.ExecAR(q, opts)
+						arp, err := v.cat.Exec(context.Background(), q, ModeAR, opts)
 						if err != nil {
 							t.Fatalf("step %d query %d %s AR %+v: %v", step, qi, v.label, opts, err)
 						}
@@ -172,7 +173,7 @@ func TestPropPartitionEquivalence(t *testing.T) {
 							t.Fatalf("step %d query %d %s %+v: A&R meter %v != serial %v (worker budget leaked into the cost model)",
 								step, qi, v.label, opts, arp.Meter, ar.Meter)
 						}
-						clp, err := v.cat.ExecClassic(q, opts)
+						clp, err := v.cat.Exec(context.Background(), q, ModeClassic, opts)
 						if err != nil {
 							t.Fatalf("step %d query %d %s classic %+v: %v", step, qi, v.label, opts, err)
 						}
@@ -217,7 +218,7 @@ func TestPartitionedCatalogSurface(t *testing.T) {
 		GroupBy: []string{"g"},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}},
 	}
-	lines, err := c.ExplainQuery(q, false)
+	lines, err := describe(c, q, ModeAR)
 	if err != nil {
 		t.Fatal(err)
 	}

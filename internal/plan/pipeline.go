@@ -239,6 +239,22 @@ type scanOut struct {
 	refined *ar.Candidates
 }
 
+// scan runs the pipeline's scan source.
+func (pl *pipeline) scan(st *pipeState) (*scanOut, error) {
+	if pl.classic {
+		return pl.scanClassic(st)
+	}
+	return pl.scanAR(st)
+}
+
+// modeName is the scan strategy's name in plans and traces.
+func modeName(classic bool) string {
+	if classic {
+		return "classic"
+	}
+	return "ar"
+}
+
 // run executes the assembled pipeline: scan source, then the shared tail.
 func (pl *pipeline) run(ctx context.Context, sys *device.System, opts ExecOpts) (*Result, error) {
 	m := device.NewMeter(sys)
@@ -246,21 +262,11 @@ func (pl *pipeline) run(ctx context.Context, sys *device.System, opts ExecOpts) 
 	st.res.InputBytes = pl.snap.inputBytes(pl.q)
 	st.estReset(pl)
 	if opts.Trace {
-		mode := "ar"
-		if pl.classic {
-			mode = "classic"
-		}
-		st.tr = &obs.Trace{Mode: mode, Threads: opts.threads(), Workers: opts.workers(), Start: time.Now()}
+		st.tr = &obs.Trace{Mode: modeName(pl.classic), Threads: opts.threads(), Workers: opts.workers(), Start: time.Now()}
 		st.mark = st.tr.Start
 		st.res.Trace = st.tr
 	}
-	var out *scanOut
-	var err error
-	if pl.classic {
-		out, err = pl.scanClassic(st)
-	} else {
-		out, err = pl.scanAR(st)
-	}
+	out, err := pl.scan(st)
 	if err != nil {
 		return nil, err
 	}
@@ -468,10 +474,7 @@ func dropHidden(q *Query, rows []Row) []Row {
 // the join chain, and the delta / grouping / having / top-k stages.
 func (pl *pipeline) describe() []string {
 	q := &pl.q
-	mode := "ar"
-	if pl.classic {
-		mode = "classic"
-	}
+	mode := modeName(pl.classic)
 	// The running estimate folds each operator's selectivity into the live
 	// base cardinality, so every rendered operator carries the planner's
 	// predicted output rows. One estimate-free link (a filter on a column
@@ -557,26 +560,6 @@ func (pl *pipeline) describe() []string {
 		out = append(out, fmt.Sprintf("  limit: %d", q.Limit))
 	}
 	return out
-}
-
-// ExplainQuery assembles the pipeline the query would run — classic or
-// A&R — and renders it without executing: the programmatic face of the
-// shell's \explain.
-func (c *Catalog) ExplainQuery(q Query, classic bool) ([]string, error) {
-	if p, ok := c.Partitioned(q.Table); ok {
-		return c.explainScatter(q, classic, p)
-	}
-	var snap *execSnap
-	var err error
-	if classic {
-		snap, err = q.validateClassic(c)
-	} else {
-		snap, err = q.validate(c)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return buildPipeline(q, snap, classic).describe(), nil
 }
 
 func describeOrder(q *Query) string {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -148,11 +149,11 @@ func TestNewShapesARMatchesClassic(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 5; trial++ {
 		for qi, q := range newShapeQueries(rng) {
-			arRes, err := c.ExecAR(q, ExecOpts{})
+			arRes, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 			if err != nil {
 				t.Fatalf("trial %d query %d ExecAR: %v", trial, qi, err)
 			}
-			clRes, err := c.ExecClassic(q, ExecOpts{})
+			clRes, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 			if err != nil {
 				t.Fatalf("trial %d query %d ExecClassic: %v", trial, qi, err)
 			}
@@ -169,7 +170,7 @@ func TestNewShapesARMatchesClassic(t *testing.T) {
 func TestOrSemantics(t *testing.T) {
 	c := buildStarCatalog(t, 10000, 21)
 	count := func(q Query) int64 {
-		res, err := c.ExecClassic(q, ExecOpts{})
+		res, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +184,7 @@ func TestOrSemantics(t *testing.T) {
 	if union != a+b-both {
 		t.Fatalf("OR union %d != %d + %d - %d (inclusion-exclusion)", union, a, b, both)
 	}
-	arRes, err := c.ExecAR(Query{Table: "fact", Or: [][]Filter{{{Col: "v", Lo: 0, Hi: 1000}, {Col: "w", Lo: 2000, Hi: 3000}}}, Aggs: aggs}, ExecOpts{})
+	arRes, err := c.Exec(context.Background(), Query{Table: "fact", Or: [][]Filter{{{Col: "v", Lo: 0, Hi: 1000}, {Col: "w", Lo: 2000, Hi: 3000}}}, Aggs: aggs}, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +211,13 @@ func TestHavingAndTopK(t *testing.T) {
 		},
 		OrderBy: []OrderKey{{Index: 1, Desc: true}},
 	}
-	full, err := c.ExecAR(base, ExecOpts{})
+	full, err := c.Exec(context.Background(), base, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	limited := base
 	limited.Limit = 2
-	top, err := c.ExecAR(limited, ExecOpts{})
+	top, err := c.Exec(context.Background(), limited, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestHavingAndTopK(t *testing.T) {
 		},
 		Having: []HavingFilter{{Agg: 1, Lo: 1, Hi: NoHi}},
 	}
-	res, err := c.ExecAR(hq, ExecOpts{})
+	res, err := c.Exec(context.Background(), hq, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestHavingAndTopK(t *testing.T) {
 			t.Fatalf("hidden aggregate surfaced in row %v", r)
 		}
 	}
-	cl, err := c.ExecClassic(hq, ExecOpts{})
+	cl, err := c.Exec(context.Background(), hq, ModeClassic, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestDimFilterOrderingBySelectivity(t *testing.T) {
 			}}},
 		Aggs: []AggSpec{{Name: "n", Func: Count}},
 	}
-	res, err := c.ExecAR(q, ExecOpts{})
+	res, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,17 +346,27 @@ func TestDimFilterOrderingBySelectivity(t *testing.T) {
 			firstDim, strings.Join(res.Plan, "\n"))
 	}
 	// The reorder must not change the answer.
-	cl, err := c.ExecClassic(q, ExecOpts{})
+	cl, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	arRes, err := c.ExecAR(q, ExecOpts{})
+	arRes, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !EqualResults(arRes.Rows, cl.Rows) {
 		t.Fatal("dimension filter reorder changed the result")
 	}
+}
+
+// describe prepares q under mode and renders what Run would execute — the
+// programmatic face of the shell's \explain.
+func describe(c *Catalog, q Query, mode Mode) ([]string, error) {
+	p, err := c.Prepare(q, mode)
+	if err != nil {
+		return nil, err
+	}
+	return p.Describe(), nil
 }
 
 // TestExplainQueryRendersPipeline checks the \explain rendering: scan
@@ -373,7 +384,7 @@ func TestExplainQueryRendersPipeline(t *testing.T) {
 		OrderBy: []OrderKey{{Index: 1, Desc: true}},
 		Limit:   3,
 	}
-	lines, err := c.ExplainQuery(q, false)
+	lines, err := describe(c, q, ModeAR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +409,7 @@ func TestExplainQueryRendersPipeline(t *testing.T) {
 	if _, err := c.InsertRows(nil, "fact", [][]int64{{1, 2, 3, 0, 0}}); err != nil {
 		t.Fatal(err)
 	}
-	lines, err = c.ExplainQuery(q, true)
+	lines, err = describe(c, q, ModeClassic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,13 +435,13 @@ func TestOrderLimitWorkerSweep(t *testing.T) {
 		OrderBy: []OrderKey{{Index: 0, Desc: true}},
 		Limit:   3,
 	}
-	serial, err := c.ExecAR(q, ExecOpts{Threads: 1, Workers: 1})
+	serial, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{Threads: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7} {
 		for _, morsel := range []int{64, 1024, 0} {
-			res, err := c.ExecAR(q, ExecOpts{Threads: 1, Workers: workers, Morsel: morsel})
+			res, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{Threads: 1, Workers: workers, Morsel: morsel})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -44,11 +45,11 @@ func TestARMatchesClassicSimpleCount(t *testing.T) {
 		Filters: []Filter{{Col: "a", Lo: 1000, Hi: 7000}},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}},
 	}
-	arRes, err := c.ExecAR(q, ExecOpts{})
+	arRes, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecAR: %v", err)
 	}
-	clRes, err := c.ExecClassic(q, ExecOpts{})
+	clRes, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecClassic: %v", err)
 	}
@@ -77,11 +78,11 @@ func TestARMatchesClassicSumWithArithmetic(t *testing.T) {
 			{Name: "mean", Func: Avg, Expr: Col("price")},
 		},
 	}
-	arRes, err := c.ExecAR(q, ExecOpts{})
+	arRes, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecAR: %v", err)
 	}
-	clRes, err := c.ExecClassic(q, ExecOpts{})
+	clRes, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecClassic: %v", err)
 	}
@@ -137,11 +138,11 @@ func TestARMatchesClassicGrouped(t *testing.T) {
 			{Name: "avg_qty", Func: Avg, Expr: Col("qty")},
 		},
 	}
-	arRes, err := c.ExecAR(q, ExecOpts{})
+	arRes, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecAR: %v", err)
 	}
-	clRes, err := c.ExecClassic(q, ExecOpts{})
+	clRes, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecClassic: %v", err)
 	}
@@ -161,11 +162,11 @@ func TestARMatchesClassicDecomposedGroupColumn(t *testing.T) {
 		GroupBy: []string{"g"},
 		Aggs:    []AggSpec{{Name: "s", Func: Sum, Expr: Col("v")}, {Name: "n", Func: Count}},
 	}
-	arRes, err := c.ExecAR(q, ExecOpts{})
+	arRes, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecAR: %v", err)
 	}
-	clRes, err := c.ExecClassic(q, ExecOpts{})
+	clRes, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecClassic: %v", err)
 	}
@@ -242,11 +243,11 @@ func TestARMatchesClassicJoin(t *testing.T) {
 			{Name: "n", Func: Count},
 		},
 	}
-	arRes, err := c.ExecAR(q, ExecOpts{})
+	arRes, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecAR: %v", err)
 	}
-	clRes, err := c.ExecClassic(q, ExecOpts{})
+	clRes, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecClassic: %v", err)
 	}
@@ -282,11 +283,11 @@ func TestARMatchesClassicRandomized(t *testing.T) {
 			{Name: "s", Func: Sum, Expr: Add(Col("a"), Col("b"))},
 			{Name: "m", Func: Max, Expr: Col("b")},
 		}
-		arRes, err := c.ExecAR(q, ExecOpts{})
+		arRes, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 		if err != nil {
 			t.Fatalf("trial %d ExecAR: %v", trial, err)
 		}
-		clRes, err := c.ExecClassic(q, ExecOpts{})
+		clRes, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 		if err != nil {
 			t.Fatalf("trial %d ExecClassic: %v", trial, err)
 		}
@@ -305,14 +306,14 @@ func TestMeterSeparation(t *testing.T) {
 		Filters: []Filter{{Col: "a", Lo: 0, Hi: 3000}},
 		Aggs:    []AggSpec{{Name: "s", Func: Sum, Expr: Col("v")}},
 	}
-	arRes, err := c.ExecAR(q, ExecOpts{})
+	arRes, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if arRes.Meter.GPU == 0 || arRes.Meter.PCI == 0 || arRes.Meter.CPU == 0 {
 		t.Errorf("A&R must involve all three resources: %v", arRes.Meter)
 	}
-	clRes, err := c.ExecClassic(q, ExecOpts{})
+	clRes, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestPlanListingMALStyle(t *testing.T) {
 		Filters: []Filter{{Col: "shipdate", Lo: 100, Hi: 2000}},
 		Aggs:    []AggSpec{{Name: "s", Func: Sum, Expr: Col("price")}},
 	}
-	res, err := c.ExecAR(q, ExecOpts{})
+	res, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +381,7 @@ func TestOptimizerOrdersBySelectivity(t *testing.T) {
 		},
 		Aggs: []AggSpec{{Name: "n", Func: Count}},
 	}
-	res, err := c.ExecAR(q, ExecOpts{})
+	res, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,13 +400,13 @@ func TestOptimizerOrdersBySelectivity(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	c := buildFactCatalog(t, 100, 10, map[string]uint{"a": 8})
-	if _, err := c.ExecAR(Query{Table: "nope"}, ExecOpts{}); err == nil {
+	if _, err := c.Exec(context.Background(), Query{Table: "nope"}, ModeAR, ExecOpts{}); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if _, err := c.ExecAR(Query{Table: "fact", Filters: []Filter{{Col: "missing", Lo: 0, Hi: 1}}}, ExecOpts{}); err == nil {
+	if _, err := c.Exec(context.Background(), Query{Table: "fact", Filters: []Filter{{Col: "missing", Lo: 0, Hi: 1}}}, ModeAR, ExecOpts{}); err == nil {
 		t.Error("unknown column accepted")
 	}
-	if _, err := c.ExecAR(Query{Table: "fact"}, ExecOpts{}); err == nil {
+	if _, err := c.Exec(context.Background(), Query{Table: "fact"}, ModeAR, ExecOpts{}); err == nil {
 		t.Error("empty query accepted")
 	}
 	// Undecomposed column in an A&R plan must error; classic must work.
@@ -418,10 +419,10 @@ func TestValidationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{Table: "fact", Filters: []Filter{{Col: "raw", Lo: 0, Hi: 1}}, Aggs: []AggSpec{{Name: "n", Func: Count}}}
-	if _, err := c2.ExecAR(q, ExecOpts{}); err == nil {
+	if _, err := c2.Exec(context.Background(), q, ModeAR, ExecOpts{}); err == nil {
 		t.Error("undecomposed column accepted by A&R plan")
 	}
-	if _, err := c2.ExecClassic(q, ExecOpts{}); err != nil {
+	if _, err := c2.Exec(context.Background(), q, ModeClassic, ExecOpts{}); err != nil {
 		t.Errorf("classic plan rejected undecomposed column: %v", err)
 	}
 }

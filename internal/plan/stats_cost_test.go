@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -66,7 +67,7 @@ func TestStatsZipfEstimateBound(t *testing.T) {
 						Filters: []Filter{{Col: "v", Lo: lo, Hi: lo + int64(rng.Intn(1<<13))}},
 						Aggs:    []AggSpec{{Name: "n", Func: Count}},
 					}
-					res, err := c.ExecAR(q, ExecOpts{Threads: 1, Trace: true})
+					res, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{Threads: 1, Trace: true})
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
@@ -135,34 +136,35 @@ func TestCostModeMatchesForcedModes(t *testing.T) {
 	plain := partPropCatalog(t, 0, shard.Hash, base)
 	parted := partPropCatalog(t, 5, shard.Range, base)
 	serial := ExecOpts{Threads: 1, Workers: 1}
-	auto := ExecOpts{Threads: 1, Workers: 1, AutoMode: true}
 	picksAR, picksClassic := 0, 0
 	for round := 0; round < 4; round++ {
 		for qi, q := range propQueries(rng) {
 			for _, c := range []*Catalog{plain, parted} {
-				forcedAR, err := c.ExecAR(q, serial)
+				forcedAR, err := c.Exec(context.Background(), q, ModeAR, serial)
 				if err != nil {
 					t.Fatalf("round %d query %d AR: %v", round, qi, err)
 				}
-				forcedCl, err := c.ExecClassic(q, serial)
+				forcedCl, err := c.Exec(context.Background(), q, ModeClassic, serial)
 				if err != nil {
 					t.Fatalf("round %d query %d classic: %v", round, qi, err)
 				}
 				if !EqualResults(forcedAR.Rows, forcedCl.Rows) {
 					t.Fatalf("round %d query %d: forced modes disagree", round, qi)
 				}
-				choice := c.ChooseMode(q)
+				p, err := c.Prepare(q, ModeAuto)
+				if err != nil {
+					t.Fatalf("round %d query %d prepare: %v", round, qi, err)
+				}
+				choice := p.Choice
 				if choice.Reason == "" {
 					t.Fatalf("round %d query %d: empty mode-choice reason", round, qi)
 				}
-				var chosen *Result
 				if choice.Classic {
 					picksClassic++
-					chosen, err = c.ExecClassic(q, auto)
 				} else {
 					picksAR++
-					chosen, err = c.ExecAR(q, auto)
 				}
+				chosen, err := p.Run(context.Background(), serial)
 				if err != nil {
 					t.Fatalf("round %d query %d chosen %s: %v", round, qi, choice, err)
 				}
@@ -201,11 +203,11 @@ func TestCostPartitionPruning(t *testing.T) {
 		Aggs:    []AggSpec{{Name: "n", Func: Count}, {Name: "s", Func: Sum, Expr: Col("w")}},
 	}
 	before := parted.PlannerStats().PartitionsPruned
-	want, err := plain.ExecAR(q, serial)
+	want, err := plain.Exec(context.Background(), q, ModeAR, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := parted.ExecAR(q, serial)
+	got, err := parted.Exec(context.Background(), q, ModeAR, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +217,7 @@ func TestCostPartitionPruning(t *testing.T) {
 	if d := parted.PlannerStats().PartitionsPruned - before; d != 5 {
 		t.Fatalf("PartitionsPruned advanced by %d, want 5 (one surviving leg of 6)", d)
 	}
-	gotCl, err := parted.ExecClassic(q, serial)
+	gotCl, err := parted.Exec(context.Background(), q, ModeClassic, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +234,12 @@ func TestCostPartitionPruning(t *testing.T) {
 			GroupBy: []string{"g"},
 			Aggs:    []AggSpec{{Name: "n", Func: Count}, {Name: "s", Func: Sum, Expr: Col("w")}},
 		}
-		want, err := plain.ExecAR(qk, serial)
+		want, err := plain.Exec(context.Background(), qk, ModeAR, serial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, exec := range []func(Query, ExecOpts) (*Result, error){parted.ExecAR, parted.ExecClassic} {
-			got, err := exec(qk, serial)
+		for _, mode := range []Mode{ModeAR, ModeClassic} {
+			got, err := parted.Exec(context.Background(), qk, mode, serial)
 			if err != nil {
 				t.Fatalf("query %d: %v", k, err)
 			}
@@ -254,11 +256,11 @@ func TestCostPartitionPruning(t *testing.T) {
 		Filters: []Filter{{Col: "v", Lo: -900000, Hi: -800000}},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}},
 	}
-	wantE, err := plain.ExecAR(qe, serial)
+	wantE, err := plain.Exec(context.Background(), qe, ModeAR, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotE, err := parted.ExecAR(qe, serial)
+	gotE, err := parted.Exec(context.Background(), qe, ModeAR, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +271,7 @@ func TestCostPartitionPruning(t *testing.T) {
 	// The scatter explain lists the pruned partitions without executing
 	// (and without advancing the counter).
 	mark := parted.PlannerStats().PartitionsPruned
-	lines, err := parted.ExplainQuery(q, false)
+	lines, err := describe(parted, q, ModeAR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +280,7 @@ func TestCostPartitionPruning(t *testing.T) {
 		t.Fatalf("scatter explain does not mention pruning:\n%s", text)
 	}
 	if parted.PlannerStats().PartitionsPruned != mark {
-		t.Error("ExplainQuery advanced the prune counter")
+		t.Error("Prepare+Describe advanced the prune counter")
 	}
 }
 
@@ -294,8 +296,8 @@ func TestCostUnmergedDimJoinHint(t *testing.T) {
 		Joins: []JoinSpec{{FKCol: "fk1", Dim: "dim1", DimPK: "id"}},
 		Aggs:  []AggSpec{{Name: "n", Func: Count}},
 	}
-	for _, exec := range []func(Query, ExecOpts) (*Result, error){c.ExecAR, c.ExecClassic} {
-		_, err := exec(q, ExecOpts{Threads: 1})
+	for _, mode := range []Mode{ModeAR, ModeClassic} {
+		_, err := c.Exec(context.Background(), q, mode, ExecOpts{Threads: 1})
 		if err == nil {
 			t.Fatal("join against an unmerged dimension did not fail")
 		}
@@ -319,7 +321,7 @@ func TestCostExplainEstimates(t *testing.T) {
 		GroupBy: []string{"g"},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}},
 	}
-	lines, err := c.ExplainQuery(q, false)
+	lines, err := describe(c, q, ModeAR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +359,7 @@ func TestCostExplainEstimates(t *testing.T) {
 		Filters: []Filter{{Col: "raw", Lo: 0, Hi: 10}, {Col: "v", Lo: 0, Hi: 31}},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}},
 	}
-	lines, err = c.ExplainQuery(qc, true)
+	lines, err = describe(c, qc, ModeClassic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,11 +113,11 @@ func TestARMatchesClassicUnderDML(t *testing.T) {
 					}
 				}
 				for qi, q := range propQueries(rng) {
-					ar, err := c.ExecAR(q, ExecOpts{})
+					ar, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 					if err != nil {
 						t.Fatalf("step %d query %d AR: %v", step, qi, err)
 					}
-					cl, err := c.ExecClassic(q, ExecOpts{})
+					cl, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 					if err != nil {
 						t.Fatalf("step %d query %d classic: %v", step, qi, err)
 					}
@@ -190,9 +190,9 @@ func TestConcurrentDMLAndQueries(t *testing.T) {
 				var res *Result
 				var err error
 				if classic {
-					res, err = c.ExecClassic(q, ExecOpts{})
+					res, err = c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 				} else {
-					res, err = c.ExecAR(q, ExecOpts{})
+					res, err = c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 				}
 				if err != nil {
 					errs <- err
@@ -269,18 +269,18 @@ func TestJoinWithDimDeletionsAndEmptyDim(t *testing.T) {
 		Joins:   []JoinSpec{{FKCol: "fk", Dim: "dim", DimPK: "id"}},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}, {Name: "s", Func: Sum, Expr: DimCol("dim", "pay")}},
 	}
-	before, err := c.ExecClassic(q, ExecOpts{})
+	before, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.DeleteRows(nil, "dim", []Filter{{Col: "id", Lo: 3, Hi: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	ar, err := c.ExecAR(q, ExecOpts{})
+	ar, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := c.ExecClassic(q, ExecOpts{})
+	cl, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +303,10 @@ func TestJoinWithDimDeletionsAndEmptyDim(t *testing.T) {
 	qe := q
 	qe.Joins = []JoinSpec{{FKCol: "fk", Dim: "empty", DimPK: "id"}}
 	qe.Aggs = []AggSpec{{Name: "n", Func: Count}}
-	if _, err := c.ExecAR(qe, ExecOpts{}); err == nil {
+	if _, err := c.Exec(context.Background(), qe, ModeAR, ExecOpts{}); err == nil {
 		t.Fatal("A&R join with empty dimension accepted")
 	}
-	if _, err := c.ExecClassic(qe, ExecOpts{}); err == nil {
+	if _, err := c.Exec(context.Background(), qe, ModeClassic, ExecOpts{}); err == nil {
 		t.Fatal("classic join with empty dimension accepted")
 	}
 }
@@ -340,11 +340,11 @@ func TestPropParallelMorselEquivalence(t *testing.T) {
 				}
 			}
 			for qi, q := range propQueries(rng) {
-				serialAR, err := c.ExecAR(q, ExecOpts{Threads: 1, Workers: 1})
+				serialAR, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{Threads: 1, Workers: 1})
 				if err != nil {
 					t.Fatalf("query %d serial AR: %v", qi, err)
 				}
-				serialCl, err := c.ExecClassic(q, ExecOpts{Threads: 1, Workers: 1})
+				serialCl, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{Threads: 1, Workers: 1})
 				if err != nil {
 					t.Fatalf("query %d serial classic: %v", qi, err)
 				}
@@ -357,11 +357,11 @@ func TestPropParallelMorselEquivalence(t *testing.T) {
 						Workers: 2 + rng.Intn(7),
 						Morsel:  []int{64, 128, 1024, 0}[rng.Intn(4)],
 					}
-					ar, err := c.ExecAR(q, opts)
+					ar, err := c.Exec(context.Background(), q, ModeAR, opts)
 					if err != nil {
 						t.Fatalf("query %d %+v AR: %v", qi, opts, err)
 					}
-					cl, err := c.ExecClassic(q, opts)
+					cl, err := c.Exec(context.Background(), q, ModeClassic, opts)
 					if err != nil {
 						t.Fatalf("query %d %+v classic: %v", qi, opts, err)
 					}
@@ -468,11 +468,11 @@ func TestNewShapesMatchUnderDML(t *testing.T) {
 					}
 				}
 				for qi, q := range newShapePropQueries(rng) {
-					ar, err := c.ExecAR(q, ExecOpts{Threads: 1, Workers: 1})
+					ar, err := c.Exec(context.Background(), q, ModeAR, ExecOpts{Threads: 1, Workers: 1})
 					if err != nil {
 						t.Fatalf("step %d query %d AR: %v", step, qi, err)
 					}
-					cl, err := c.ExecClassic(q, ExecOpts{Threads: 1, Workers: 1})
+					cl, err := c.Exec(context.Background(), q, ModeClassic, ExecOpts{Threads: 1, Workers: 1})
 					if err != nil {
 						t.Fatalf("step %d query %d classic: %v", step, qi, err)
 					}
@@ -481,7 +481,7 @@ func TestNewShapesMatchUnderDML(t *testing.T) {
 					}
 					// Worker/morsel sweep: byte-stable rows, bit-identical meters.
 					opts := ExecOpts{Threads: 1, Workers: 2 + rng.Intn(6), Morsel: []int{64, 512, 0}[rng.Intn(3)]}
-					arp, err := c.ExecAR(q, opts)
+					arp, err := c.Exec(context.Background(), q, ModeAR, opts)
 					if err != nil {
 						t.Fatalf("step %d query %d AR %+v: %v", step, qi, opts, err)
 					}
@@ -491,7 +491,7 @@ func TestNewShapesMatchUnderDML(t *testing.T) {
 					if *arp.Meter != *ar.Meter {
 						t.Fatalf("step %d query %d %+v: A&R meter %v != serial %v", step, qi, opts, arp.Meter, ar.Meter)
 					}
-					clp, err := c.ExecClassic(q, opts)
+					clp, err := c.Exec(context.Background(), q, ModeClassic, opts)
 					if err != nil {
 						t.Fatalf("step %d query %d classic %+v: %v", step, qi, opts, err)
 					}
@@ -553,9 +553,9 @@ func TestConcurrentDMLNewShapes(t *testing.T) {
 				for _, q := range newShapePropQueries(rng) {
 					var err error
 					if classic {
-						_, err = c.ExecClassic(q, ExecOpts{Workers: 2, Morsel: 256})
+						_, err = c.Exec(context.Background(), q, ModeClassic, ExecOpts{Workers: 2, Morsel: 256})
 					} else {
-						_, err = c.ExecAR(q, ExecOpts{Workers: 2, Morsel: 256})
+						_, err = c.Exec(context.Background(), q, ModeAR, ExecOpts{Workers: 2, Morsel: 256})
 					}
 					if err != nil {
 						errs <- err

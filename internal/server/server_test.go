@@ -68,11 +68,11 @@ func TestConcurrentClientsMatchDirectExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arRes, err := c.ExecAR(b.Query, plan.ExecOpts{})
+		arRes, err := c.Exec(context.Background(), b.Query, plan.ModeAR, plan.ExecOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		clRes, err := c.ExecClassic(b.Query, plan.ExecOpts{})
+		clRes, err := c.Exec(context.Background(), b.Query, plan.ModeClassic, plan.ExecOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,8 +188,8 @@ func TestSessionMetaCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || !strings.HasPrefix(got[1], "-- ar; simulated") {
-		t.Fatalf("expected cost line with ar route, got %v", got)
+	if len(got) != 2 || !strings.HasPrefix(got[1], "-- ar; simulated") || !strings.Contains(got[1], "; candidates ") || !strings.Contains(got[1], "; approx count [") {
+		t.Fatalf("expected cost line with ar route, funnel and approx count, got %v", got)
 	}
 	if _, err := cl.Query(`\mode classic`); err != nil {
 		t.Fatal(err)
@@ -198,8 +198,16 @@ func TestSessionMetaCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || !strings.HasPrefix(got[1], "-- classic; simulated") {
-		t.Fatalf("expected cost line with classic route, got %v", got)
+	if len(got) != 2 || !strings.HasPrefix(got[1], "-- classic; simulated") || !strings.Contains(got[1], "; candidates ") || strings.Contains(got[1], "approx count") {
+		t.Fatalf("expected cost line with classic route and no approx count, got %v", got)
+	}
+	// A write has no candidate funnel to report.
+	got, err = cl.Query("select bwdecompose(lon, 24) from trips")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || !strings.HasPrefix(got[1], "-- ddl; simulated") || strings.Contains(got[1], "candidates") || strings.Contains(got[1], "approx count") {
+		t.Fatalf("expected a bare ddl cost line, got %v", got)
 	}
 	if _, err := cl.Query(`\mode sideways`); err == nil {
 		t.Fatal("bad mode must error")

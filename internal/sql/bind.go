@@ -641,11 +641,11 @@ func bindArith(e *ArithE, onDim func(QualCol) (string, error)) (plan.Expr, error
 	}
 }
 
-// Compile parses and binds a statement into an executable Binding — the
-// reusable front half of Run. A Binding is immutable once compiled:
-// executing it never mutates it, so compiled bindings may be cached (the
-// server's plan cache stores them keyed on Normalize'd text) and executed
-// concurrently.
+// Compile parses and binds a statement into an executable Binding. A
+// Binding is immutable once compiled: executing it never mutates it, so
+// compiled bindings may be cached (the engine's plan cache stores them
+// keyed on Normalize'd text) and executed concurrently. Queries run
+// through plan.Catalog.Prepare; writes through ExecWrite.
 func Compile(c *plan.Catalog, src string) (*Binding, error) {
 	stmt, err := Parse(src)
 	if err != nil {
@@ -654,22 +654,12 @@ func Compile(c *plan.Catalog, src string) (*Binding, error) {
 	return Bind(stmt, c)
 }
 
-// Exec runs a compiled binding with a background context; see ExecCtx.
-func Exec(c *plan.Catalog, b *Binding, opts plan.ExecOpts, classic bool) (*plan.Result, error) {
-	return ExecCtx(context.Background(), c, b, opts, classic)
-}
-
-// ExecCtx runs a compiled binding under ctx. bwdecompose and DML
-// statements mutate the store and return a Result whose Plan lines carry
-// the outcome message and whose Meter carries the simulated write cost
-// (including any implicit compaction); EXPLAIN returns a Result with
-// only the plan listing. Classic controls which executor runs the query
-// (the A&R executor by default, matching Run). Cancellation is cooperative
-// — the executors poll ctx between pipeline stages.
-//
-// Front-ends should not call this directly: internal/engine wraps it with
-// session routing, admission control and plan caching.
-func ExecCtx(ctx context.Context, c *plan.Catalog, b *Binding, opts plan.ExecOpts, classic bool) (*plan.Result, error) {
+// ExecWrite applies a compiled write statement — CREATE TABLE, INSERT,
+// DELETE or bwdecompose — under ctx. The Result's Plan lines carry the
+// outcome message and its Meter the simulated write cost (including any
+// implicit compaction). Front-ends reach it through internal/engine,
+// which executes writes inline.
+func ExecWrite(ctx context.Context, c *plan.Catalog, b *Binding) (*plan.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -700,8 +690,7 @@ func ExecCtx(ctx context.Context, c *plan.Catalog, b *Binding, opts plan.ExecOpt
 			return nil, err
 		}
 		return &plan.Result{Meter: m, Plan: []string{fmt.Sprintf("deleted %d rows from %s", n, b.Delete.Table)}}, nil
-	}
-	if len(b.Decompose) > 0 {
+	case len(b.Decompose) > 0:
 		// Metered: a decompose over a table with delta rows or deletions
 		// compacts it first, and that merge's bus traffic must reach the
 		// caller's totals like any other write cost.
@@ -713,31 +702,7 @@ func ExecCtx(ctx context.Context, c *plan.Catalog, b *Binding, opts plan.ExecOpt
 		}
 		return &plan.Result{Meter: m, Plan: []string{"decomposed"}}, nil
 	}
-	var res *plan.Result
-	var err error
-	if classic {
-		res, err = c.ExecClassicCtx(ctx, b.Query, opts)
-	} else {
-		res, err = c.ExecARCtx(ctx, b.Query, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if b.Explain {
-		return &plan.Result{Plan: res.Plan, Meter: res.Meter}, nil
-	}
-	return res, nil
-}
-
-// Run parses, binds and executes a statement under the A&R executor. It is
-// a convenience for tests and one-off programs; front-ends embed
-// internal/engine instead.
-func Run(c *plan.Catalog, src string, opts plan.ExecOpts) (*plan.Result, error) {
-	b, err := Compile(c, src)
-	if err != nil {
-		return nil, err
-	}
-	return Exec(c, b, opts, false)
+	return nil, fmt.Errorf("sql: the query over %s is not a write statement", b.Query.Table)
 }
 
 // Normalize canonicalizes statement text for plan-cache keying: tokens are

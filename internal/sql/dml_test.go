@@ -1,12 +1,31 @@
 package sql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/plan"
 )
+
+// execBinding executes a compiled binding the way the engine does: writes
+// through ExecWrite, queries through the catalog's Prepare+Run under mode.
+func execBinding(c *plan.Catalog, b *Binding, mode plan.Mode) (*plan.Result, error) {
+	if b.IsWrite() {
+		return ExecWrite(context.Background(), c, b)
+	}
+	return c.Exec(context.Background(), b.Query, mode, plan.ExecOpts{})
+}
+
+// runSQL compiles and executes src under the A&R executor.
+func runSQL(c *plan.Catalog, src string) (*plan.Result, error) {
+	b, err := Compile(c, src)
+	if err != nil {
+		return nil, err
+	}
+	return execBinding(c, b, plan.ModeAR)
+}
 
 // run executes src through the full front end under the given executor.
 func run(t *testing.T, c *plan.Catalog, src string, classic bool) *plan.Result {
@@ -15,7 +34,11 @@ func run(t *testing.T, c *plan.Catalog, src string, classic bool) *plan.Result {
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
-	res, err := Exec(c, b, plan.ExecOpts{}, classic)
+	mode := plan.ModeAR
+	if classic {
+		mode = plan.ModeClassic
+	}
+	res, err := execBinding(c, b, mode)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
@@ -128,7 +151,7 @@ func TestDMLBindErrors(t *testing.T) {
 	} {
 		b, err := Compile(c, src)
 		if err == nil {
-			if _, err = Exec(c, b, plan.ExecOpts{}, false); err == nil {
+			if _, err = execBinding(c, b, plan.ModeAR); err == nil {
 				t.Errorf("%s: accepted", src)
 			}
 		}

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -68,7 +69,7 @@ func testCatalog(t *testing.T) *plan.Catalog {
 
 func mustRun(t *testing.T, c *plan.Catalog, src string) *plan.Result {
 	t.Helper()
-	res, err := Run(c, src, plan.ExecOpts{})
+	res, err := runSQL(c, src)
 	if err != nil {
 		t.Fatalf("Run(%q): %v", src, err)
 	}
@@ -99,7 +100,7 @@ func TestSimpleAggregate(t *testing.T) {
 		Filters: []plan.Filter{{Col: "l_shipdate", Lo: 100, Hi: 500}},
 		Aggs:    []plan.AggSpec{{Name: "n", Func: plan.Count}},
 	}
-	want, err := c.ExecClassic(q, plan.ExecOpts{})
+	want, err := c.Exec(context.Background(), q, plan.ModeClassic, plan.ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestJoinQuery(t *testing.T) {
 			{Name: "n", Func: plan.Count},
 		},
 	}
-	want, err := c.ExecClassic(q, plan.ExecOpts{})
+	want, err := c.Exec(context.Background(), q, plan.ModeClassic, plan.ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,10 +272,10 @@ func TestBindErrors(t *testing.T) {
 
 func TestRunUndedecomposedColumnFails(t *testing.T) {
 	c := testCatalog(t)
-	if _, err := Run(c, "select count(*) from lineitem where l_tax < 5", plan.ExecOpts{}); err == nil {
+	if _, err := runSQL(c, "select count(*) from lineitem where l_tax < 5"); err == nil {
 		t.Error("query over unknown column did not fail")
 	}
-	if _, err := Run(c, "select count(*) from lineitem where l_shipdate < 5", plan.ExecOpts{}); err == nil {
+	if _, err := runSQL(c, "select count(*) from lineitem where l_shipdate < 5"); err == nil {
 		t.Error("query over undecomposed column did not fail (A&R needs bwdecompose)")
 	}
 }
@@ -326,11 +327,11 @@ func TestSQLFuzzARMatchesClassic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Bind(%q): %v", trial, sqlText, err)
 		}
-		arRes, err := c.ExecAR(binding.Query, plan.ExecOpts{})
+		arRes, err := c.Exec(context.Background(), binding.Query, plan.ModeAR, plan.ExecOpts{})
 		if err != nil {
 			t.Fatalf("trial %d: ExecAR: %v", trial, err)
 		}
-		clRes, err := c.ExecClassic(binding.Query, plan.ExecOpts{})
+		clRes, err := c.Exec(context.Background(), binding.Query, plan.ModeClassic, plan.ExecOpts{})
 		if err != nil {
 			t.Fatalf("trial %d: ExecClassic: %v", trial, err)
 		}
