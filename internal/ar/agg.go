@@ -8,9 +8,10 @@ import (
 // (§IV-F): count is trivial; min and max bounds may only be tightened by
 // candidates that certainly qualify; sum and avg are victims of destructive
 // distributivity when combined with arithmetic, and their exact values are
-// computed on the CPU unless all data is device resident. The plan
-// executor folds the phase-A bounds of sum, min, max and avg
-// (plan.approxAnswer); only the count lives here.
+// computed on the CPU unless all data is device resident. The phase-A
+// bounds of every aggregate are folded by the plan layer's one bounds
+// algebra (plan.partialAnswer in internal/plan/bounds.go); only the
+// candidate count kernel lives here.
 
 // CountApprox returns the approximate count — the candidate-set size,
 // an upper bound on the exact count — as an interval whose lower bound

@@ -7,7 +7,6 @@ import (
 	"repro/internal/ar"
 	"repro/internal/bat"
 	"repro/internal/bwd"
-	"repro/internal/device"
 	"repro/internal/mem"
 	"repro/internal/par"
 )
@@ -306,9 +305,10 @@ func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
 		st.traceRows(dset.n, "delta.scan(%s, %d qualifying)", q.Table, dset.n)
 	}
 
-	// Phase-A approximate answer: strict bounds from approximations over
-	// the base segment, plus the (exact) delta contributions.
-	st.res.Approx = approxAnswer(m, *q, cands, projections, dset)
+	// Phase-A partial: strict bounds from approximations over the base
+	// segment, plus the (exact) delta contributions; finalized by the
+	// caller once every partial of the query is in.
+	approx := approxAnswer(m, *q, cands, projections, dset)
 	st.res.Candidates = cands.Len()
 	for _, a := range q.Aggs {
 		st.traceRows(cands.Len(), "bwd.%sapproximate(%s)", a.Func, a.Name)
@@ -441,7 +441,7 @@ func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
 		cands.Release()
 	}
 
-	return &scanOut{ectx: ectx, dset: dset, mg: mg, refined: refined}, nil
+	return &scanOut{ectx: ectx, dset: dset, mg: mg, refined: refined, approx: approx}, nil
 }
 
 // orGroupRelax resolves one disjunction group against the snapshot: the
@@ -540,131 +540,4 @@ func remapJoinPos(pp par.P, joins []*arJoinRT, keep []int) {
 		bat.OIDPool.Put(at)
 		jr.pos = kept
 	}
-}
-
-// approxAnswer derives the phase-A bounds: candidate-count interval and
-// per-aggregate sum/min/max bounds from approximate projections over the
-// base segment, plus the exact contributions of qualifying delta rows
-// (the delta is host resident and undecomposed, so its values carry no
-// approximation error).
-func approxAnswer(m *device.Meter, q Query, cands *ar.Candidates, projections map[ColRef]*ar.Projection, delta *deltaSet) ApproxAnswer {
-	out := ApproxAnswer{Count: ar.CountApprox(m, cands)}
-	var dctx *exprCtx
-	if delta != nil {
-		out.Count.Lo += int64(delta.n)
-		out.Count.Hi += int64(delta.n)
-		dctx = &exprCtx{n: delta.n, vals: delta.vals}
-	}
-	bctx := &boundsCtx{n: cands.Len(), vals: map[ColRef][]ar.Interval{}}
-	for ref, p := range projections {
-		ivs := make([]ar.Interval, p.Len())
-		err := p.Col.Dec.Err()
-		for i := range ivs {
-			lo := p.ApproxLow(i)
-			ivs[i] = ar.Interval{Lo: lo, Hi: lo + err}
-		}
-		bctx.vals[ref] = ivs
-	}
-	for _, a := range q.Aggs {
-		switch a.Func {
-		case Count:
-			out.Aggs = append(out.Aggs, out.Count)
-		case Sum, Avg:
-			ivs := a.Expr.Bounds(bctx)
-			var total ar.Interval
-			for i, iv := range ivs {
-				if !cands.Certain(i) {
-					// A false positive contributes nothing.
-					if iv.Lo > 0 {
-						iv.Lo = 0
-					}
-					if iv.Hi < 0 {
-						iv.Hi = 0
-					}
-				}
-				total.Lo += iv.Lo
-				total.Hi += iv.Hi
-			}
-			if dctx != nil {
-				for _, v := range a.Expr.Eval(dctx) {
-					total.Lo += v
-					total.Hi += v
-				}
-			}
-			if a.Func == Avg && out.Count.Lo > 0 {
-				total = avgBounds(total, out.Count)
-			}
-			out.Aggs = append(out.Aggs, total)
-		case Min, Max:
-			ivs := a.Expr.Bounds(bctx)
-			if dctx != nil {
-				for _, v := range a.Expr.Eval(dctx) {
-					ivs = append(ivs, ar.Exact(v))
-				}
-			}
-			// Delta rows (past the candidates) are exact and qualify.
-			n := cands.Len()
-			out.Aggs = append(out.Aggs, extremeBounds(a.Func, ivs, func(i int) bool { return i >= n || cands.Certain(i) }))
-		}
-	}
-	return out
-}
-
-// avgBounds bounds sum/count for a sum in total and a count in cnt
-// (cnt.Lo > 0). The truncating quotient is monotone in each operand, so
-// its extremes over the box lie at the four corners; taking the min and
-// max of all four stays valid whatever the signs of the sum bounds.
-func avgBounds(total, cnt ar.Interval) ar.Interval {
-	q := [4]int64{total.Lo / cnt.Lo, total.Lo / cnt.Hi, total.Hi / cnt.Lo, total.Hi / cnt.Hi}
-	out := ar.Interval{Lo: q[0], Hi: q[0]}
-	for _, v := range q[1:] {
-		out.Lo = min(out.Lo, v)
-		out.Hi = max(out.Hi, v)
-	}
-	return out
-}
-
-// extremeBounds folds MIN/MAX intervals into one phase-A bound; certain(i)
-// reports whether ivs[i] belongs to rows known to qualify (a certain
-// candidate, a delta row, a partition that certainly holds rows). Any
-// interval may hold the extreme, so every one widens the outer bound (the
-// lower end for MIN, the upper end for MAX). Only certain ones may tighten
-// the inner bound: a possible false positive whose approximation looks
-// extreme is the trap of Fig 6. With nothing certain, the inner bound is
-// the weakest any interval admits.
-func extremeBounds(f AggFunc, ivs []ar.Interval, certain func(i int) bool) ar.Interval {
-	if len(ivs) == 0 {
-		return ar.Interval{}
-	}
-	// ends splits iv into its end toward the extreme (outer) and its end
-	// away from it (inner); beyond reports whether a is more extreme than b.
-	ends := func(iv ar.Interval) (outer, inner int64) {
-		if f == Min {
-			return iv.Lo, iv.Hi
-		}
-		return iv.Hi, iv.Lo
-	}
-	beyond := func(a, b int64) bool { return (f == Min && a < b) || (f == Max && a > b) }
-	outer, weakest := ends(ivs[0])
-	var inner int64
-	haveInner := false
-	for i, iv := range ivs {
-		o, in := ends(iv)
-		if beyond(o, outer) {
-			outer = o
-		}
-		if beyond(weakest, in) {
-			weakest = in
-		}
-		if certain(i) && (!haveInner || beyond(in, inner)) {
-			inner, haveInner = in, true
-		}
-	}
-	if !haveInner {
-		inner = weakest
-	}
-	if f == Min {
-		return ar.Interval{Lo: outer, Hi: inner}
-	}
-	return ar.Interval{Lo: inner, Hi: outer}
 }

@@ -22,8 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ar"
-	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
@@ -43,7 +41,7 @@ type DeviceGate interface {
 // execution state (own meter, own worker share), and scan output.
 type partScan struct {
 	pl   *pipeline
-	st   *pipeState
+	st   pipeState
 	out  *scanOut
 	wall time.Duration
 	err  error
@@ -125,14 +123,9 @@ func (p *Prepared) runScatter(ctx context.Context, opts ExecOpts) (*Result, erro
 	partOpts.Gate = nil
 
 	scans := make([]*partScan, len(parts))
-	qs := make([]Query, len(parts))
-	snaps := make([]*execSnap, len(parts))
 	for li, pl := range p.legs {
-		qs[li], snaps[li] = pl.q, pl.snap
-		mi := device.NewMeter(c.sys)
-		sti := &pipeState{ctx: scanCtx, opts: partOpts, pp: partOpts.par(scanCtx), m: mi, res: &Result{Meter: mi}, estCand: -1}
-		sti.estReset(pl)
-		scans[li] = &partScan{pl: pl, st: sti}
+		scans[li] = &partScan{pl: pl, st: newPipeState(scanCtx, c.sys, partOpts, pl.classic)}
+		scans[li].st.estReset(pl)
 	}
 
 	var wg sync.WaitGroup
@@ -151,7 +144,7 @@ func (p *Prepared) runScatter(ctx context.Context, opts ExecOpts) (*Result, erro
 				}
 				defer release()
 			}
-			out, err := ps.pl.scan(ps.st)
+			out, err := ps.pl.scan(&ps.st)
 			if err == nil {
 				// A cancellation mid-kernel leaves the scan incomplete;
 				// never gather a partial partition.
@@ -190,20 +183,21 @@ func (p *Prepared) runScatter(ctx context.Context, opts ExecOpts) (*Result, erro
 	}
 
 	// ---- Gather: merge the partials in partition-index order.
-	m := device.NewMeter(c.sys)
-	st := &pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: &Result{Meter: m}, estCand: -1}
-	st.res.InputBytes = scatterInputBytes(qs, snaps)
-	if opts.Trace {
-		st.tr = &obs.Trace{Mode: modeName(p.classic), Threads: opts.threads(), Workers: opts.workers(), Start: time.Now()}
-		st.mark = st.tr.Start
-		st.res.Trace = st.tr
+	st := newPipeState(ctx, c.sys, opts, p.classic)
+	for li, pl := range p.legs {
+		st.res.InputBytes += pl.snap.inputBytes(pl.q, li == 0)
 	}
 	st.res.Plan = append(st.res.Plan, fmt.Sprintf("scatter: %s over %d partitions (%s)", q.Table, n, p.part.Spec))
 	if pruned := n - len(parts); pruned > 0 {
 		st.res.Plan = append(st.res.Plan, fmt.Sprintf("  pruned: %d of %d partitions (filters on %s exclude their slabs)", pruned, n, p.part.Spec.Col))
 	}
 
-	answers := make([]ApproxAnswer, len(scans))
+	// The phase-A partials merge in partition order and finalize once; an
+	// all-classic scatter reports no phase-A answer, so it folds nothing.
+	var approx partialAnswer
+	if !p.classic {
+		approx = newPartial(q.Aggs)
+	}
 	estKnown := true
 	var estSum int64
 	for li, ps := range scans {
@@ -222,12 +216,12 @@ func (p *Prepared) runScatter(ctx context.Context, opts ExecOpts) (*Result, erro
 			estSum += ps.st.estCand
 		}
 		mode := modeName(ps.pl.classic)
-		if ps.pl.classic {
-			// A classic leg's partial is exact, so a mixed-mode scatter
-			// still reports strict phase-A bounds.
-			answers[li] = exactAnswer(q, out.ectx)
-		} else {
-			answers[li] = ps.st.res.Approx
+		if !p.classic && ps.pl.classic {
+			// A classic leg's rows are exact and qualify, so a mixed-mode
+			// scatter still reports strict phase-A bounds.
+			approx.foldExact(q.Aggs, out.ectx)
+		} else if !p.classic {
+			approx.merge(&out.approx)
 		}
 		st.res.Plan = append(st.res.Plan, fmt.Sprintf("  partition %d: mode=%s, %d candidates, %d refined", parts[li], mode, ps.st.res.Candidates+dn, ps.st.res.Refined+dn))
 		for _, line := range ps.st.res.Plan {
@@ -237,7 +231,7 @@ func (p *Prepared) runScatter(ctx context.Context, opts ExecOpts) (*Result, erro
 			pm := ps.st.m
 			st.tr.Add(obs.StageEvent{
 				Stage: string(StageScatter),
-				Op:    fmt.Sprintf("scatter(%s, mode=%s)", qs[li].Table, mode),
+				Op:    fmt.Sprintf("scatter(%s, mode=%s)", ps.pl.q.Table, mode),
 				Rows:  int64(out.ectx.n),
 				Est:   ps.st.estCand,
 				Wall:  ps.wall,
@@ -251,7 +245,7 @@ func (p *Prepared) runScatter(ctx context.Context, opts ExecOpts) (*Result, erro
 		st.estCand = estSum
 	}
 	if !p.classic {
-		st.res.Approx = combineAnswers(q, answers)
+		st.res.Approx = approx.finalize()
 	}
 
 	// Concatenate the exact values per referenced column, partition order.
@@ -276,161 +270,15 @@ func (p *Prepared) runScatter(ctx context.Context, opts ExecOpts) (*Result, erro
 	}
 	st.traceRows(merged.n, "gather(%s, %d partitions)", q.Table, len(scans))
 
-	tail := &pipeline{q: q, snap: snaps[0], classic: p.classic, noDevGroup: true}
-	if err := tail.finish(st, &scanOut{ectx: merged}); err != nil {
+	tail := &pipeline{q: q, snap: p.legs[0].snap, classic: p.classic, noDevGroup: true}
+	if err := tail.finish(&st, &scanOut{ectx: merged}); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if st.tr != nil {
-		st.tr.Wall = time.Since(st.tr.Start)
-		st.tr.Candidates = int64(st.res.Candidates)
-		st.tr.Refined = int64(st.res.Refined)
-		st.tr.Rows = int64(len(st.res.Rows))
-		st.tr.EstCandidates = st.estCand
-	}
+	st.closeTrace()
 	return st.res, nil
-}
-
-// scatterInputBytes sums the stream-baseline footprint of a scatter: every
-// partition's referenced fact columns and delta segment, plus each joined
-// dimension column exactly once (dimensions are shared, not partitioned).
-func scatterInputBytes(qs []Query, snaps []*execSnap) int64 {
-	var total int64
-	for i := range qs {
-		q, s := qs[i], snaps[i]
-		seen := map[string]bool{}
-		_ = q.walkCols(func(table, col string) error {
-			key := table + "." + col
-			if seen[key] {
-				return nil
-			}
-			seen[key] = true
-			if i > 0 && table != q.Table {
-				return nil // dimension columns count once
-			}
-			if b, err := s.snapFor(table).Column(col); err == nil {
-				total += b.TailBytes()
-			}
-			return nil
-		})
-		total += s.fact.DeltaBytes()
-	}
-	return total
-}
-
-// exactAnswer derives a degenerate (exact) phase-A answer from a classic
-// partition scan's combined tuple set.
-func exactAnswer(q Query, ctx *exprCtx) ApproxAnswer {
-	out := ApproxAnswer{Count: ar.Exact(int64(ctx.n))}
-	for _, a := range q.Aggs {
-		if a.Func == Count {
-			out.Aggs = append(out.Aggs, out.Count)
-			continue
-		}
-		var vals []int64
-		if a.Expr != nil {
-			vals = a.Expr.Eval(ctx)
-		}
-		var iv ar.Interval
-		switch {
-		case len(vals) == 0:
-			// no qualifying rows: zero interval, skipped by the combiner
-		case a.Func == Sum || a.Func == Avg:
-			var sum int64
-			for _, v := range vals {
-				sum += v
-			}
-			if a.Func == Avg {
-				sum /= int64(len(vals))
-			}
-			iv = ar.Exact(sum)
-		case a.Func == Min:
-			mv := vals[0]
-			for _, v := range vals[1:] {
-				if v < mv {
-					mv = v
-				}
-			}
-			iv = ar.Exact(mv)
-		case a.Func == Max:
-			mv := vals[0]
-			for _, v := range vals[1:] {
-				if v > mv {
-					mv = v
-				}
-			}
-			iv = ar.Exact(mv)
-		}
-		out.Aggs = append(out.Aggs, iv)
-	}
-	return out
-}
-
-// combineAnswers folds per-partition phase-A answers into bounds for the
-// whole table. Counts and sums add. Extremes fold with certainty awareness:
-// any partition that might hold qualifying rows (Count.Hi > 0) can supply
-// the extreme, so it widens the outer bound, while only a partition that
-// certainly holds rows (Count.Lo > 0) can tighten the inner one. Averages
-// take the conservative hull of the per-partition intervals.
-func combineAnswers(q Query, answers []ApproxAnswer) ApproxAnswer {
-	var out ApproxAnswer
-	for _, a := range answers {
-		out.Count.Lo += a.Count.Lo
-		out.Count.Hi += a.Count.Hi
-	}
-	out.Aggs = make([]ar.Interval, len(q.Aggs))
-	for k, spec := range q.Aggs {
-		switch spec.Func {
-		case Count, Sum:
-			var total ar.Interval
-			for _, a := range answers {
-				total.Lo += a.Aggs[k].Lo
-				total.Hi += a.Aggs[k].Hi
-			}
-			out.Aggs[k] = total
-		case Avg:
-			set := false
-			var total ar.Interval
-			for _, a := range answers {
-				if a.Count.Hi == 0 {
-					continue
-				}
-				iv := a.Aggs[k]
-				if !set {
-					total, set = iv, true
-					continue
-				}
-				if iv.Lo < total.Lo {
-					total.Lo = iv.Lo
-				}
-				if iv.Hi > total.Hi {
-					total.Hi = iv.Hi
-				}
-			}
-			out.Aggs[k] = total
-		case Min, Max:
-			out.Aggs[k] = combineExtreme(spec.Func, answers, k)
-		}
-	}
-	return out
-}
-
-// combineExtreme folds per-partition Min/Max intervals with the same
-// certainty rule as one partition's candidates (extremeBounds): every
-// possibly-nonempty partition (Count.Hi > 0) widens the outer bound, and
-// only a certainly-nonempty one (Count.Lo > 0) tightens the inner bound.
-func combineExtreme(f AggFunc, answers []ApproxAnswer, k int) ar.Interval {
-	var ivs []ar.Interval
-	var certain []bool
-	for _, a := range answers {
-		if a.Count.Hi > 0 {
-			ivs = append(ivs, a.Aggs[k])
-			certain = append(certain, a.Count.Lo > 0)
-		}
-	}
-	return extremeBounds(f, ivs, func(i int) bool { return certain[i] })
 }
 
 // describeScatter renders a prepared scatter without executing it: the

@@ -231,12 +231,14 @@ func (st *pipeState) step(s Stage) error {
 
 // scanOut is what every scan source produces: the base segment's exact
 // tuple values, the delta segment's contribution, and — A&R only — the
-// device pre-grouping awaiting refinement with its surviving candidates.
+// device pre-grouping awaiting refinement with its surviving candidates,
+// and the unfinalized phase-A partial of the scanned rows.
 type scanOut struct {
 	ectx    *exprCtx
 	dset    *deltaSet
 	mg      *ar.MultiGrouping
 	refined *ar.Candidates
+	approx  partialAnswer
 }
 
 // scan runs the pipeline's scan source.
@@ -255,22 +257,48 @@ func modeName(classic bool) string {
 	return "ar"
 }
 
-// run executes the assembled pipeline: scan source, then the shared tail.
-func (pl *pipeline) run(ctx context.Context, sys *device.System, opts ExecOpts) (*Result, error) {
+// newPipeState starts one execution on sys: a fresh meter, the result
+// under construction and, when opts.Trace is set, the trace record named
+// after the scan strategy. It returns a value so that a caller whose state
+// does not outlive it keeps it off the heap.
+func newPipeState(ctx context.Context, sys *device.System, opts ExecOpts, classic bool) pipeState {
 	m := device.NewMeter(sys)
-	st := &pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: &Result{Meter: m}, estCand: -1}
-	st.res.InputBytes = pl.snap.inputBytes(pl.q)
-	st.estReset(pl)
+	st := pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: &Result{Meter: m}, estCand: -1}
 	if opts.Trace {
-		st.tr = &obs.Trace{Mode: modeName(pl.classic), Threads: opts.threads(), Workers: opts.workers(), Start: time.Now()}
+		st.tr = &obs.Trace{Mode: modeName(classic), Threads: opts.threads(), Workers: opts.workers(), Start: time.Now()}
 		st.mark = st.tr.Start
 		st.res.Trace = st.tr
 	}
-	out, err := pl.scan(st)
+	return st
+}
+
+// closeTrace writes the trace footer once the result is complete: total
+// wall time, the candidate funnel, the output rows and the planner's
+// candidate estimate.
+func (st *pipeState) closeTrace() {
+	if st.tr == nil {
+		return
+	}
+	st.tr.Wall = time.Since(st.tr.Start)
+	st.tr.Candidates = int64(st.res.Candidates)
+	st.tr.Refined = int64(st.res.Refined)
+	st.tr.Rows = int64(len(st.res.Rows))
+	st.tr.EstCandidates = st.estCand
+}
+
+// run executes the assembled pipeline: scan source, then the shared tail.
+func (pl *pipeline) run(ctx context.Context, sys *device.System, opts ExecOpts) (*Result, error) {
+	st := newPipeState(ctx, sys, opts, pl.classic)
+	st.res.InputBytes = pl.snap.inputBytes(pl.q, true)
+	st.estReset(pl)
+	out, err := pl.scan(&st)
 	if err != nil {
 		return nil, err
 	}
-	if err := pl.finish(st, out); err != nil {
+	if !pl.classic {
+		st.res.Approx = out.approx.finalize()
+	}
+	if err := pl.finish(&st, out); err != nil {
 		return nil, err
 	}
 	// The surviving candidate set (and the pre-grouping's source when one
@@ -287,13 +315,7 @@ func (pl *pipeline) run(ctx context.Context, sys *device.System, opts ExecOpts) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if st.tr != nil {
-		st.tr.Wall = time.Since(st.tr.Start)
-		st.tr.Candidates = int64(st.res.Candidates)
-		st.tr.Refined = int64(st.res.Refined)
-		st.tr.Rows = int64(len(st.res.Rows))
-		st.tr.EstCandidates = st.estCand
-	}
+	st.closeTrace()
 	return st.res, nil
 }
 
@@ -728,13 +750,14 @@ func globalAgg(m *device.Meter, pp par.P, a AggSpec, ctx *exprCtx) (int64, error
 
 // inputBytes sums the physical footprint of every column the query reads —
 // the stream-baseline input volume — over the pinned snapshots, including
-// the row-major delta segment when present.
-func (s *execSnap) inputBytes(q Query) int64 {
+// the row-major delta segment when present. withDims=false leaves out the
+// joined dimension columns, which a scatter counts once, with its first leg.
+func (s *execSnap) inputBytes(q Query, withDims bool) int64 {
 	seen := map[string]bool{}
 	var total int64
 	add := func(table, col string) error {
 		key := table + "." + col
-		if seen[key] {
+		if seen[key] || (!withDims && table != q.Table) {
 			return nil
 		}
 		seen[key] = true

@@ -7,6 +7,11 @@ import (
 	"strings"
 )
 
+// maxLine caps one protocol line, in either direction. Scanners start
+// from bufio's small default buffer and grow toward the cap only when a
+// line needs it, so an idle connection holds a few KiB, not the cap.
+const maxLine = 1 << 20
+
 // Client is a minimal client for the server's line protocol. It is not
 // safe for concurrent use; open one client per goroutine (a client maps to
 // one server session anyway).
@@ -28,7 +33,7 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
 	in := bufio.NewScanner(conn)
-	in.Buffer(make([]byte, 1<<20), 1<<20)
+	in.Buffer(nil, maxLine)
 	return &Client{conn: conn, in: in, out: bufio.NewWriter(conn)}
 }
 

@@ -169,7 +169,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	in := bufio.NewScanner(conn)
-	in.Buffer(make([]byte, 1<<20), 1<<20)
+	in.Buffer(nil, maxLine)
 	out := bufio.NewWriter(conn)
 
 	// Read in a separate goroutine: while a statement executes, the reader

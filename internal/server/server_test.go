@@ -476,6 +476,55 @@ func TestHalfCloseClientGetsResponses(t *testing.T) {
 	}
 }
 
+// TestLongLines guards the line cap while the scanner buffers grow on
+// demand: a statement line over bufio's 64 KiB default is still answered,
+// identically to its short form, and a line that fills the 1 MiB cap
+// without ending gets an error terminator instead of a bare EOF.
+func TestLongLines(t *testing.T) {
+	c := testCatalog(t)
+	_, addr := startServer(t, c, engine.Options{})
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	short := tripQuery(0)
+	long := strings.Replace(short, " from ", strings.Repeat(" ", 70_000)+"from ", 1)
+	if len(long) <= 64<<10 {
+		t.Fatalf("long statement is only %d bytes", len(long))
+	}
+	want, err := cl.Query(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.Query(long)
+	if err != nil {
+		t.Fatalf("%d-byte statement: %v", len(long), err)
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("long statement answered %q, short one %q", got, want)
+	}
+
+	// Exactly maxLine bytes and no newline: the scanner consumes every
+	// byte before it gives up, so the server closes cleanly after the
+	// error line.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(strings.Repeat("x", maxLine))); err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(out), "error: ") || !strings.HasSuffix(string(out), "\n") {
+		t.Fatalf("over-long line: want an error terminator, got %q", out)
+	}
+}
+
 // TestCloseDrainsAndRejectsClients: Close cancels the serving context,
 // drains handlers, and later queries on old connections fail.
 func TestCloseDrainsAndRejectsClients(t *testing.T) {
